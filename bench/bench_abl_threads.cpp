@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "interp/interp.h"
 #include "jit/jit.h"
 #include "matmul/matmul_lib.h"
+#include "runtime/threadpool.h"
 #include "stencil/stencil_lib.h"
 
 using namespace wj;
@@ -44,12 +44,14 @@ struct Sample {
     double seconds = 0;  ///< median wall time of the timed invokes
 };
 
-/// jit4mpi + one warm invoke + median-of-3 timed invokes under the env.
+/// jit4mpi + one warm invoke + median-of-3 timed invokes at `threads` pool
+/// width, with the parallel codegen on or off.
 template <typename MakeCode>
 Sample timeRun(int threads, bool parallel, MakeCode make) {
-    setenv("WJ_PARALLEL", parallel ? "1" : "0", 1);
-    setenv("WJ_THREADS", std::to_string(threads).c_str(), 1);
-    JitCode code = make();
+    TranslateOptions topts = TranslateOptions::fromEnv();
+    topts.parallel = parallel;
+    runtime::ThreadPool::instance().setThreads(threads);
+    JitCode code = make(topts);
     (void)code.invoke();  // warm: pool spawn + cache fill out of the timing
     Sample s;
     std::vector<double> times;
@@ -136,11 +138,12 @@ int main(int argc, char** argv) {
     Interp cin(cprog);
     const int cgN = opts.smoke ? 4096 : (opts.full ? 1 << 20 : 1 << 16);
     const int cgIters = opts.smoke ? 8 : (opts.full ? 50 : 25);
-    auto makeCg = [&] {
+    auto makeCg = [&](const TranslateOptions& topts) {
         Value solver = cg::makeCpuSolver(cin);
         JitCode code = WootinJ::jit4mpi(cprog, solver, "run",
                                         {Value::ofI32(cgN), Value::ofI32(11),
-                                         Value::ofI32(cgIters)});
+                                         Value::ofI32(cgIters)},
+                                        topts);
         code.set4MPI(1);
         return code;
     };
@@ -160,9 +163,9 @@ int main(int argc, char** argv) {
     const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
     Program sprog = stencil::buildProgram();
     Interp sin(sprog);
-    bool ok = sweep("diffusion MPI x1 rank", 1, [&] {
+    bool ok = sweep("diffusion MPI x1 rank", 1, [&](const TranslateOptions& topts) {
         Value r = stencil::makeMpiRunner(sin, n, n, nz, coeffs, 42);
-        JitCode code = WootinJ::jit4mpi(sprog, r, "run", {Value::ofI32(steps)});
+        JitCode code = WootinJ::jit4mpi(sprog, r, "run", {Value::ofI32(steps)}, topts);
         code.set4MPI(1);
         return code;
     });
@@ -170,10 +173,10 @@ int main(int argc, char** argv) {
     const int mm = opts.full ? 256 : 128;
     Program mprog = matmul::buildProgram();
     Interp min(mprog);
-    ok &= sweep("Fox matmul q=2 x4 ranks", 4, [&] {
+    ok &= sweep("Fox matmul q=2 x4 ranks", 4, [&](const TranslateOptions& topts) {
         Value app = matmul::makeMpiFoxApp(min, matmul::Calc::Optimized, 2);
         JitCode code = WootinJ::jit4mpi(mprog, app, "run",
-                                        {Value::ofI32(mm), Value::ofI32(7)});
+                                        {Value::ofI32(mm), Value::ofI32(7)}, topts);
         code.set4MPI(4);
         return code;
     });

@@ -3,9 +3,9 @@
 // as an independent cross-check of the marginal-cost measurements.
 //
 // Before the gbench suite runs, main() executes the scalar-vs-simd sweep
-// (each evaluation kernel jitted twice, WJ_SIMD=0 / WJ_SIMD=1) and the
-// aos-vs-soa sweep (the cells object-array stencil jitted under WJ_SOA=0 /
-// WJ_SOA=1 with SIMD on). Every pair is checked bitwise-equal, timed, and
+// (each evaluation kernel jitted twice, with TranslateOptions::simd off and
+// on) and the aos-vs-soa sweep (the cells object-array stencil jitted with
+// soa off and on, simd on). Every pair is checked bitwise-equal, timed, and
 // persisted as rows of BENCH_kernels_micro.json via the shared jsonRow()
 // helpers. `--smoke` runs only those sweeps at reduced sizes/reps — the
 // bench-smoke CI tripwire.
@@ -82,17 +82,17 @@ void BM_DiffusionWootinJ(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffusionWootinJ);
 
-// Bounds-guard overhead: the same diffusion jit under the three WJ_BOUNDS
+// Bounds-guard overhead: the same diffusion jit under the three bounds
 // modes. "Elide" runs the interval pass and guards only unproven accesses
 // (zero in this kernel — it should match "Off"); "All" guards every access,
 // measuring what the static analysis saves.
-void diffusionBoundsRow(benchmark::State& state, const char* mode) {
-    setenv("WJ_BOUNDS", mode, 1);
+void diffusionBoundsRow(benchmark::State& state, int bounds) {
+    TranslateOptions opts = TranslateOptions::fromEnv();
+    opts.bounds = bounds;
     Program prog = stencil::buildProgram();
     Interp in(prog);
     Value runner = stencil::makeCpuRunner(in, kN, kN, kN, kCoeffs, kSeed);
-    JitCode code = WootinJ::jit(prog, runner, "run", {Value::ofI32(2)});
-    unsetenv("WJ_BOUNDS");
+    JitCode code = WootinJ::jit(prog, runner, "run", {Value::ofI32(2)}, opts);
     state.counters["guards"] = static_cast<double>(code.boundsGuards());
     state.counters["elided"] = static_cast<double>(code.boundsElided());
     for (auto _ : state) {
@@ -101,13 +101,13 @@ void diffusionBoundsRow(benchmark::State& state, const char* mode) {
     state.SetItemsProcessed(state.iterations() * kN * kN * kN * 2);
 }
 
-void BM_DiffusionBoundsOff(benchmark::State& state) { diffusionBoundsRow(state, "0"); }
+void BM_DiffusionBoundsOff(benchmark::State& state) { diffusionBoundsRow(state, 0); }
 BENCHMARK(BM_DiffusionBoundsOff);
 
-void BM_DiffusionBoundsElide(benchmark::State& state) { diffusionBoundsRow(state, "1"); }
+void BM_DiffusionBoundsElide(benchmark::State& state) { diffusionBoundsRow(state, 1); }
 BENCHMARK(BM_DiffusionBoundsElide);
 
-void BM_DiffusionBoundsAll(benchmark::State& state) { diffusionBoundsRow(state, "all"); }
+void BM_DiffusionBoundsAll(benchmark::State& state) { diffusionBoundsRow(state, 2); }
 BENCHMARK(BM_DiffusionBoundsAll);
 
 void BM_DiffusionInterp(benchmark::State& state) {
@@ -217,21 +217,21 @@ double medianInvokeNs(JitCode& code, const std::vector<Value>& args, int reps, M
 
 bool simdBitEq(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-/// One kernel row pair: jit with WJ_SIMD=0 then WJ_SIMD=1, assert the
+/// One kernel row pair: jit with simd off then on, assert the
 /// results bitwise-equal (the determinism contract), report both medians
 /// and the measured delta. Returns false on a bitwise mismatch.
 template <typename MakeCode>
 bool simdPair(const std::string& what, const std::vector<Value>& args, int reps,
               MakeCode make) {
-    setenv("WJ_SIMD", "0", 1);
-    JitCode scalar = make();
+    TranslateOptions opts = TranslateOptions::fromEnv();
+    opts.simd = false;
+    JitCode scalar = make(opts);
     double scalarVal = 0;
     const double scalarNs =
         medianInvokeNs(scalar, args, reps, [&](double v) { scalarVal = v; });
 
-    setenv("WJ_SIMD", "1", 1);
-    JitCode simd = make();
-    unsetenv("WJ_SIMD");
+    opts.simd = true;
+    JitCode simd = make(opts);
     double simdVal = 0;
     const double simdNs = medianInvokeNs(simd, args, reps, [&](double v) { simdVal = v; });
 
@@ -257,7 +257,9 @@ bool runSimdSweep(bool smoke) {
         Value runner = stencil::makeCpuRunner(in, n, n, n, kCoeffs, kSeed);
         const std::vector<Value> args = {Value::ofI32(2)};
         ok &= simdPair("diffusion " + std::to_string(n) + "^3", args, reps,
-                       [&] { return WootinJ::jit(prog, runner, "run", args); });
+                       [&](const TranslateOptions& o) {
+                           return WootinJ::jit(prog, runner, "run", args, o);
+                       });
     }
     {
         Program prog = matmul::buildProgram();
@@ -266,7 +268,9 @@ bool runSimdSweep(bool smoke) {
         const int n = smoke ? 48 : 192;
         const std::vector<Value> args = {Value::ofI32(n), Value::ofI32(kSeed)};
         ok &= simdPair("matmul " + std::to_string(n) + "x" + std::to_string(n), args, reps,
-                       [&] { return WootinJ::jit(prog, app, "run", args); });
+                       [&](const TranslateOptions& o) {
+                           return WootinJ::jit(prog, app, "run", args, o);
+                       });
     }
     {
         Program prog = cg::buildProgram();
@@ -276,7 +280,9 @@ bool runSimdSweep(bool smoke) {
         const std::vector<Value> args = {Value::ofI32(n), Value::ofI32(3),
                                          Value::ofI32(smoke ? 5 : 25)};
         ok &= simdPair("cg n=" + std::to_string(n), args, reps,
-                       [&] { return WootinJ::jit(prog, solver, "run", args); });
+                       [&](const TranslateOptions& o) {
+                           return WootinJ::jit(prog, solver, "run", args, o);
+                       });
     }
     return ok;
 }
@@ -284,8 +290,8 @@ bool runSimdSweep(bool smoke) {
 // ------------------------------------------------- aos-vs-soa sweep
 
 /// One cells kernel — an array-of-objects workload — jitted twice under
-/// WJ_SIMD=1: once with the boxed AoS element layout (WJ_SOA=0) and once
-/// with the proveLayout SoA split (WJ_SOA=1). The checksums must stay
+/// simd on: once with the boxed AoS element layout (soa off) and once
+/// with the proveLayout SoA split (soa on). The checksums must stay
 /// bitwise-equal (the standing determinism contract); both medians persist
 /// as rows so the regression gate sees the layout win per size. `method`
 /// picks the kernel: "probe" is the headline lane-projection sweep (the
@@ -300,16 +306,15 @@ bool soaPair(const char* method, int n, int steps, int reps) {
     const std::vector<Value> args = {Value::ofI32(steps)};
     const std::string what = std::string("cells ") + method + " n=" + std::to_string(n);
 
-    setenv("WJ_SIMD", "1", 1);
-    setenv("WJ_SOA", "0", 1);
-    JitCode aos = WootinJ::jit(prog, runner, method, args);
+    TranslateOptions opts = TranslateOptions::fromEnv();
+    opts.simd = true;
+    opts.soa = false;
+    JitCode aos = WootinJ::jit(prog, runner, method, args, opts);
     double aosVal = 0;
     const double aosNs = medianInvokeNs(aos, args, reps, [&](double v) { aosVal = v; });
 
-    setenv("WJ_SOA", "1", 1);
-    JitCode soa = WootinJ::jit(prog, runner, method, args);
-    unsetenv("WJ_SOA");
-    unsetenv("WJ_SIMD");
+    opts.soa = true;
+    JitCode soa = WootinJ::jit(prog, runner, method, args, opts);
     double soaVal = 0;
     const double soaNs = medianInvokeNs(soa, args, reps, [&](double v) { soaVal = v; });
 

@@ -8,8 +8,8 @@
 //
 //   * serial jit vs the C++ scalar baseline (referenceCgResidual);
 //   * CSR vs matrix-free composition;
-//   * WJ_PARALLEL: the dot loops auto-prove ParallelReduce and the axpy
-//     loops parallel-for — residuals bitwise-identical at WJ_THREADS
+//   * parallel codegen: the dot loops auto-prove ParallelReduce and the
+//     axpy loops parallel-for — residuals bitwise-identical at pool widths
 //     1/2/8 (ordered deterministic combine) and within tolerance of the
 //     serial fold;
 //   * MPI: row-partitioned ranks under real MiniMPI worlds, threaded
@@ -19,7 +19,6 @@
 //   * WJ_TRACE: the run emits a Perfetto-loadable span timeline.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "interp/interp.h"
 #include "jit/cache.h"
 #include "jit/jit.h"
+#include "runtime/threadpool.h"
 #include "support/diagnostics.h"
 #include "trace/trace.h"
 
@@ -54,7 +54,9 @@ bool near(double a, double b, double relTol) {
 
 int main() {
     const int n = 4096, seed = 4, iters = 32;
-    setenv("WJ_PARALLEL", "0", 1);
+    // Serial translation first; the threading section turns `parallel` on.
+    TranslateOptions opts = TranslateOptions::fromEnv();
+    opts.parallel = false;
     trace::Tracer::instance().enable("cg_solver.trace.json");
 
     Program prog = buildProgram();
@@ -66,7 +68,8 @@ int main() {
         Value solver = op == Operator::Csr ? makeCpuCsrSolver(in, n) : makeCpuSolver(in, op);
         JitCode code = WootinJ::jit(prog, solver, "run",
                                     {Value::ofI32(n), Value::ofI32(seed),
-                                     Value::ofI32(iterCount)});
+                                     Value::ofI32(iterCount)},
+                                    opts);
         return code.invoke().asF64();
     };
 
@@ -88,7 +91,8 @@ int main() {
         const int ns = 96;
         Value solver = makeCpuSolver(in);
         JitCode code = WootinJ::jit(prog, solver, "run",
-                                    {Value::ofI32(ns), Value::ofI32(seed), Value::ofI32(ns)});
+                                    {Value::ofI32(ns), Value::ofI32(seed), Value::ofI32(ns)},
+                                    opts);
         const double rs = code.invoke().asF64();
         check("n=96 converges within n iterations (||r||^2 < 1e-8)", rs < 1e-8);
         check("converged residual matches baseline",
@@ -100,18 +104,19 @@ int main() {
     check("CsrMatrix == Laplacian1D residual",
           near(runCpu(Operator::Csr, iters), runCpu(Operator::MatrixFree, iters), 1e-12));
 
-    // ---- WJ_PARALLEL: reductions + axpy loops auto-prove; residuals are
-    // bitwise-identical across thread counts (ordered combine) and near
+    // ---- parallel codegen: reductions + axpy loops auto-prove; residuals
+    // are bitwise-identical across thread counts (ordered combine) and near
     // the serial fold (the fixed chunk grid regroups the f64 dot sums).
-    std::printf("intra-rank threading (WJ_PARALLEL=1)\n");
+    std::printf("intra-rank threading (parallel codegen)\n");
     const double serialRs = runCpu(Operator::MatrixFree, iters);
     std::vector<double> parRs;
-    setenv("WJ_PARALLEL", "1", 1);
+    opts.parallel = true;
     for (int t : {1, 2, 8}) {
-        setenv("WJ_THREADS", std::to_string(t).c_str(), 1);
+        runtime::ThreadPool::instance().setThreads(t);
         Value solver = makeCpuSolver(in);
         JitCode code = WootinJ::jit(prog, solver, "run",
-                                    {Value::ofI32(n), Value::ofI32(seed), Value::ofI32(iters)});
+                                    {Value::ofI32(n), Value::ofI32(seed), Value::ofI32(iters)},
+                                    opts);
         if (t == 1) {
             check("dot loops auto-prove ParallelReduce", code.reduceLoops() >= 1);
             check("axpy loops auto-prove parallel-for", code.parallelLoops() >= 1);
@@ -128,11 +133,12 @@ int main() {
     std::printf("MPI row partitioning (jit4mpi + MiniMPI)\n");
     const double expectMpi = referenceCgResidual(n, seed, iters);
     auto runMpi = [&](int ranks, int threads) {
-        setenv("WJ_THREADS", std::to_string(threads).c_str(), 1);
+        runtime::ThreadPool::instance().setThreads(threads);
         Value solver = makeMpiSolver(in, n / ranks);
         JitCode code = WootinJ::jit4mpi(prog, solver, "run",
                                         {Value::ofI32(n / ranks), Value::ofI32(seed),
-                                         Value::ofI32(iters)});
+                                         Value::ofI32(iters)},
+                                        opts);
         code.set4MPI(ranks);
         return code.invoke().asF64();
     };
@@ -160,7 +166,8 @@ int main() {
         fault::FaultPlan::instance().configure("failcompile:nth=1");
         Value solver = makeCpuSolver(in);
         JitCode code = WootinJ::jit(prog, solver, "run",
-                                    {Value::ofI32(n), Value::ofI32(seed), Value::ofI32(iters)});
+                                    {Value::ofI32(n), Value::ofI32(seed), Value::ofI32(iters)},
+                                    opts);
         check("transient compile failure retried", code.compileAttempts() == 2);
         check("retried code still verifies",
               near(code.invoke().asF64(), expectMpi, 1e-4));
@@ -174,7 +181,8 @@ int main() {
         Value solver = makeMpiSolver(in, n / 2);
         JitCode code = WootinJ::jit4mpi(prog, solver, "run",
                                         {Value::ofI32(n / 2), Value::ofI32(seed),
-                                         Value::ofI32(iters)});
+                                         Value::ofI32(iters)},
+                                        opts);
         code.set4MPI(2);
         bool killed = false;
         try {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -589,15 +588,13 @@ struct Pending;  // race-walk state, defined below
 
 class Engine {
 public:
-    Engine(const Program& prog, Result& out, bool lint)
-        : prog_(prog), out_(out), lint_(lint) {
+    // The SIMD verdict for element loops depends on the data layout the
+    // translator will actually emit, so the prover takes the same `soa`
+    // option codegen takes (see translate() in jit/codegen.cpp).
+    Engine(const Program& prog, Result& out, bool lint, bool soa)
+        : prog_(prog), out_(out), lint_(lint), soaOn_(soa) {
         groups_.build(prog);
         effects_ = computeEffects(prog);
-        // The SIMD verdict for element loops depends on the data layout the
-        // translator will actually emit, so the prover reads the same switch
-        // codegen reads (see translate() in jit/codegen.cpp).
-        const char* soa = std::getenv("WJ_SOA");
-        soaOn_ = soa && *soa && std::string(soa) != "0";
     }
 
     void runEntry(const Value& receiver, const std::string& method, const std::vector<Value>& args);
@@ -697,7 +694,7 @@ private:
     const Program& prog_;
     Result& out_;
     bool lint_;
-    bool soaOn_ = false;  ///< WJ_SOA=1: the translator will split Inline classes
+    bool soaOn_;  ///< the translator will split Inline classes (TranslateOptions::soa)
     FieldGroups groups_;
     std::map<const Method*, Effects> effects_;
 
@@ -3481,18 +3478,18 @@ void tally(Result& r) {
 
 } // namespace
 
-Result lintProgram(const Program& prog) {
+Result lintProgram(const Program& prog, const TranslateOptions& opts) {
     Result out;
-    Engine eng(prog, out, /*lint=*/true);
+    Engine eng(prog, out, /*lint=*/true, opts.soa);
     eng.runLint();
     tally(out);
     return out;
 }
 
 Result analyzeEntry(const Program& prog, const Value& receiver, const std::string& method,
-                    const std::vector<Value>& args) {
+                    const std::vector<Value>& args, const TranslateOptions& opts) {
     Result out;
-    Engine eng(prog, out, /*lint=*/false);
+    Engine eng(prog, out, /*lint=*/false, opts.soa);
     eng.runEntry(receiver, method, args);
     tally(out);
     return out;

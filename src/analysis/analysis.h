@@ -11,7 +11,7 @@
 //     keeps the call graph acyclic). Classifies every ArrayGet/ArraySet
 //     as proven-safe, proven-out-of-bounds (hard error), or unknown. The
 //     translator consumes the per-node classification to elide bounds
-//     guards (WJ_BOUNDS=1 guards only unproven accesses).
+//     guards (bounds mode 1 guards only unproven accesses).
 //   * communication race check — structural walk using the effect
 //     summaries (effects.h) to flag writes that can overlap a posted
 //     nonblocking receive of the same buffer region.
@@ -32,6 +32,7 @@
 #include "interp/value.h"
 #include "ir/program.h"
 #include "support/diagnostics.h"
+#include "support/translate_options.h"
 
 namespace wj::analysis {
 
@@ -114,7 +115,7 @@ struct LoopVector {
     /// Element classes this verdict depends on being laid out SoA (the
     /// proveLayout pass): the loop reads/writes `C[]` elements through
     /// field paths, which is unit-stride only after the AoS→SoA split.
-    /// Non-empty only when the verdict was issued under WJ_SOA=1; without
+    /// Non-empty only when the verdict was issued under the soa option; without
     /// it the loop reports ScalarOnly with a "vectorizable under --soa"
     /// reason. Joined across contexts by set union.
     std::vector<std::string> soaClasses;
@@ -152,7 +153,7 @@ struct Result {
     /// class used as an array element (see analysis/layout.h). The entry
     /// driver boxes classes whose arrays cross the jit() boundary; lint
     /// reports clean classes CondInline. The translator consumes Inline
-    /// verdicts under WJ_SOA=1.
+    /// verdicts under the soa option.
     std::map<std::string, ClassLayout> layoutClasses;
     /// One line per element class explaining its layout verdict (the
     /// "wjc lint" layout table). Filled by both drivers.
@@ -173,13 +174,17 @@ std::vector<Violation> checkDefiniteAssignment(const Program& prog, const ClassD
 /// Whole-program lint: every pass over every concrete method, with unknown
 /// receiver/arguments. Distinct array parameters are assumed non-aliasing
 /// (documented lint assumption); only proven defects become errors.
-Result lintProgram(const Program& prog);
+/// `opts.soa` selects the data layout the SIMD verdicts assume.
+Result lintProgram(const Program& prog,
+                   const TranslateOptions& opts = TranslateOptions::fromEnv());
 
 /// Analysis of one jit() entry: `method` invoked on the concrete composed
 /// `receiver` with `args`, covering everything reachable. Field primitives
 /// and array lengths from the receiver graph are treated as constants —
 /// exactly the specialization contract the translator itself uses.
+/// `opts.soa` selects the data layout the SIMD verdicts assume.
 Result analyzeEntry(const Program& prog, const Value& receiver, const std::string& method,
-                    const std::vector<Value>& args);
+                    const std::vector<Value>& args,
+                    const TranslateOptions& opts = TranslateOptions::fromEnv());
 
 } // namespace wj::analysis

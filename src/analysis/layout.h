@@ -25,7 +25,7 @@
 // (invoke() marshals AoS payloads); the lint driver has no boundary, so a
 // clean class is CondInline: inline-eligible provided no boundary crossing.
 //
-// The translator consumes Inline verdicts under WJ_SOA=1 (see
+// The translator consumes Inline verdicts under the soa option (see
 // jit/codegen.cpp); the vector prover consumes Inline/CondInline to flip
 // gather-bound element loops to unit-stride Vectorizable.
 #pragma once

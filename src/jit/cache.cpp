@@ -17,6 +17,7 @@
 
 #include "fault/fault.h"
 #include "support/crc32.h"
+#include "support/env.h"
 #include "support/scratch.h"
 #include "support/strings.h"
 #include "support/timer.h"
@@ -29,21 +30,7 @@ namespace {
 
 constexpr uint64_t kDefaultMaxBytes = 256ull << 20;
 
-bool envFlagOff(const char* name) {
-    const char* v = std::getenv(name);
-    if (!v) return false;
-    const std::string s(v);
-    return s == "0" || s == "off" || s == "false" || s == "no";
-}
-
 std::string hexKey(uint64_t key) { return format("%016llx", static_cast<unsigned long long>(key)); }
-
-int64_t envMs(const char* name, int64_t dflt) {
-    const char* v = std::getenv(name);
-    if (!v || !*v) return dflt;
-    const long long n = std::atoll(v);
-    return n >= 0 ? n : dflt;
-}
 
 /// Reads a whole file; returns false if it cannot be opened.
 bool slurp(const fs::path& p, std::string& out) {
@@ -104,7 +91,7 @@ JitCache::Impl& JitCache::impl() const {
     return i;
 }
 
-bool JitCache::enabled() const { return !envFlagOff("WJ_CACHE"); }
+bool JitCache::enabled() const { return envFlag("WJ_CACHE", true); }
 
 std::string JitCache::dir() const {
     if (const char* d = std::getenv("WJ_CACHE_DIR"); d && *d) return d;
@@ -118,11 +105,7 @@ std::string JitCache::dir() const {
 }
 
 uint64_t JitCache::maxBytes() const {
-    if (const char* v = std::getenv("WJ_CACHE_MAX_BYTES"); v && *v) {
-        const long long n = std::atoll(v);
-        if (n > 0) return static_cast<uint64_t>(n);
-    }
-    return kDefaultMaxBytes;
+    return static_cast<uint64_t>(envInt("WJ_CACHE_MAX_BYTES", kDefaultMaxBytes, 1));
 }
 
 uint64_t JitCache::keyOf(const std::string& cSource, const std::string& cc,
@@ -243,7 +226,7 @@ void JitCache::enforceCap() {
     // grace window are never unlinked (their bytes still count toward the
     // running total, so old entries are evicted first and harder).
     const auto grace =
-        std::chrono::milliseconds(envMs("WJ_CACHE_EVICT_GRACE_MS", 0));
+        std::chrono::milliseconds(envInt("WJ_CACHE_EVICT_GRACE_MS", 0, 0));
     const auto now = fs::file_time_type::clock::now();
     int64_t evicted = 0;
     for (const auto& e : entries) {
@@ -285,15 +268,15 @@ void JitCache::BuildLock::release() {
 
 JitCache::BuildLock JitCache::lockForBuild(uint64_t key) {
     BuildLock out;
-    if (!enabled() || envFlagOff("WJ_CACHE_LOCK")) return out;  // Skipped
+    if (!enabled() || !envFlag("WJ_CACHE_LOCK", true)) return out;  // Skipped
     const fs::path d(dir());
     std::error_code ec;
     fs::create_directories(d, ec);
     if (ec) return out;
     const fs::path so = d / (hexKey(key) + ".so");
     const fs::path lockPath = d / (hexKey(key) + ".building");
-    const int64_t timeoutMs = envMs("WJ_CACHE_LOCK_TIMEOUT_MS", 120000);
-    const int64_t staleMs = envMs("WJ_CACHE_LOCK_STALE_MS", 120000);
+    const int64_t timeoutMs = envInt("WJ_CACHE_LOCK_TIMEOUT_MS", 120000, 0);
+    const int64_t staleMs = envInt("WJ_CACHE_LOCK_STALE_MS", 120000, 0);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
     for (;;) {

@@ -41,8 +41,12 @@
 //   WJ_CACHE_LOCK=0       disable the cross-process in-flight build dedup
 //   WJ_CACHE_LOCK_TIMEOUT_MS / WJ_CACHE_LOCK_STALE_MS  see BuildLock
 //
-// All env vars are re-read on every call, so tests and benches can
-// redirect or disable the cache at run time with setenv().
+// These are run-time cache settings, not translation options: they do not
+// change the generated C, so they stay environment reads (support/env.h
+// grammar: 0/off/false/no mean off) made on every call, which lets tests
+// and benches redirect or disable the cache at run time with setenv().
+// The translation switches (WJ_BOUNDS/PARALLEL/SIMD/SOA) are instead
+// fields of TranslateOptions, passed down as a value.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +77,7 @@ class JitCache {
 public:
     static JitCache& instance();
 
-    /// False when WJ_CACHE is "0"/"off"/"false" (re-read per call).
+    /// False when WJ_CACHE is "0"/"off"/"false"/"no" (re-read per call).
     bool enabled() const;
 
     /// Resolved store directory: $WJ_CACHE_DIR, else $XDG_CACHE_HOME/wootinc,

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <functional>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <set>
 
@@ -96,7 +95,7 @@ public:
     }
 
     /// SIMD verdicts of the proveVectors pass (keyed by ForStmt address).
-    /// When set (WJ_SIMD=1), innermost host loops proven Vectorizable get
+    /// When set (TranslateOptions::simd), innermost host loops proven Vectorizable get
     /// restrict-qualified element pointers and a `#pragma omp simd` line —
     /// inside chunk functions and on the serial path alike; CondVectorizable
     /// loops additionally get a wjrt_ranges_disjoint runtime guard with the
@@ -106,7 +105,7 @@ public:
     }
 
     /// AoS→SoA layout verdicts of the proveLayout pass (keyed by element
-    /// class name). When set (WJ_SOA=1), arrays of Inline-verdict classes
+    /// class name). When set (TranslateOptions::soa), arrays of Inline-verdict classes
     /// are stored as packed per-field lane regions instead of arrays of
     /// structs: allocation goes through wjrt_alloc_soa, `a[i].f` reads load
     /// straight from field f's region, and whole-element stores `a[i] =
@@ -838,7 +837,7 @@ void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopPar
     {
         Env benv = env;
         benv.em = &bem;
-        // Under WJ_SIMD a loop that also carries a vector verdict runs its
+        // Under simd a loop that also carries a vector verdict runs its
         // chunk iterations through `#pragma omp simd` — threads across
         // chunks, lanes within one. The range guard re-checks inside the
         // chunk function; the scalar chunk loop is the else-branch.
@@ -1084,7 +1083,7 @@ void CodeGen::genParallelReduce(Env& env, const ForStmt& n, const analysis::Loop
 // --------------------------------------------------------------------- simd
 
 // The proveVectors verdict for this loop, or null when the loop must stay
-// scalar in THIS emission context: no WJ_SIMD, device code, ScalarOnly,
+// scalar in THIS emission context: no simd option, device code, ScalarOnly,
 // inexact (f32/f64 +/*) reductions — which keep the bitwise chunk-serial
 // path — or a guard/accumulator name the proof mentions that is not a live
 // identifier-shaped local here (proof context mismatch).
@@ -1959,44 +1958,20 @@ Translation CodeGen::run(const Value& receiver, const std::string& method,
 
 } // namespace
 
-int boundsModeFromEnv() {
-    const char* env = std::getenv("WJ_BOUNDS");
-    if (!env || !*env || std::string(env) == "0") return 0;
-    if (std::string(env) == "all" || std::string(env) == "2") return 2;
-    return 1;
-}
-
 Translation translate(const Program& prog, const Value& receiver, const std::string& method,
-                      const std::vector<Value>& args) {
+                      const std::vector<Value>& args, const TranslateOptions& opts) {
     // The analysis passes are mandatory: translation refuses statically
     // unsound entries (uninit reads, proven out-of-bounds, halo races)
     // regardless of the guard mode. The guard mode only decides what the
     // interval verdicts are *used* for.
-    analysis::Result facts = analysis::analyzeEntry(prog, receiver, method, args);
+    analysis::Result facts = analysis::analyzeEntry(prog, receiver, method, args, opts);
     facts.require();
 
-    const int mode = boundsModeFromEnv();
     CodeGen cg(prog);
-    cg.setBounds(mode, mode == 1 ? &facts.accessSafety : nullptr);
-    // WJ_PARALLEL=1 turns proven loops into wjrt_parallel_for dispatches
-    // (the worker count is a pure runtime decision via WJ_THREADS, so the
-    // generated code — and its cache key — is thread-count independent).
-    const char* par = std::getenv("WJ_PARALLEL");
-    if (par && *par && std::string(par) != "0") cg.setParallel(&facts.loopParallel);
-    // WJ_SIMD=1 turns proveVectors verdicts into `#pragma omp simd` loops
-    // with restrict-hoisted element pointers (and runtime range guards for
-    // CondVectorizable). Like WJ_PARALLEL this is a translation-time choice
-    // baked into the generated C, independent of WJ_THREADS, so the cache
-    // key stays thread-count independent.
-    const char* simd = std::getenv("WJ_SIMD");
-    if (simd && *simd && std::string(simd) != "0") cg.setSimd(&facts.loopVector);
-    // WJ_SOA=1 stores arrays of Inline-verdict element classes (the
-    // proveLayout pass) as packed per-field lane regions instead of arrays
-    // of structs. Element field paths become unit-stride loads the simd
-    // pass can vectorize; the pass proved no use can observe the split, so
-    // results stay bitwise-identical to every other configuration.
-    const char* soa = std::getenv("WJ_SOA");
-    if (soa && *soa && std::string(soa) != "0") cg.setSoa(&facts.layoutClasses);
+    cg.setBounds(opts.bounds, opts.bounds == 1 ? &facts.accessSafety : nullptr);
+    if (opts.parallel) cg.setParallel(&facts.loopParallel);
+    if (opts.simd) cg.setSimd(&facts.loopVector);
+    if (opts.soa) cg.setSoa(&facts.layoutClasses);
     return cg.run(receiver, method, args);
 }
 

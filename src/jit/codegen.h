@@ -29,6 +29,7 @@
 
 #include "interp/value.h"
 #include "ir/program.h"
+#include "support/translate_options.h"
 
 namespace wj {
 
@@ -57,10 +58,10 @@ struct Translation {
     int64_t kernels = 0;           ///< @Global methods turned into kernels
     int64_t boundsGuards = 0;      ///< array accesses emitted with a wj_chk guard
     int64_t boundsElided = 0;      ///< guards skipped because the interval pass proved safety
-    int64_t parallelLoops = 0;     ///< loops outlined through wjrt_parallel_for (WJ_PARALLEL)
+    int64_t parallelLoops = 0;     ///< loops outlined through wjrt_parallel_for (opts.parallel)
     int64_t reduceLoops = 0;       ///< reduction loops outlined through wjrt_parallel_reduce
-    int64_t vectorLoops = 0;       ///< loops emitted under `#pragma omp simd` (WJ_SIMD)
-    int64_t soaArrays = 0;         ///< allocation sites emitted SoA via wjrt_alloc_soa (WJ_SOA)
+    int64_t vectorLoops = 0;       ///< loops emitted under `#pragma omp simd` (opts.simd)
+    int64_t soaArrays = 0;         ///< allocation sites emitted SoA via wjrt_alloc_soa (opts.soa)
     /// Element classes actually stored SoA in this translation (sorted).
     /// A class appears only when proveLayout proved it Inline AND the
     /// translated code allocates an array of it.
@@ -71,10 +72,12 @@ struct Translation {
 /// Translates `method`, called on `receiver` with `args`, plus everything
 /// reachable from it. The program must already satisfy the coding rules
 /// (the public jit() entry verifies them first). Runs the mandatory
-/// dataflow analyses first and throws AnalysisError on a proven defect;
-/// with WJ_BOUNDS=1 the interval verdicts elide guards on proven-safe
-/// accesses, with WJ_BOUNDS=all every access is guarded.
+/// dataflow analyses first and throws AnalysisError on a proven defect.
+/// `opts` picks the guards, parallel outlining, SIMD and layout (see
+/// support/translate_options.h); with bounds=1 the interval verdicts elide
+/// guards on proven-safe accesses, with bounds=2 every access is guarded.
 Translation translate(const Program& prog, const Value& receiver, const std::string& method,
-                      const std::vector<Value>& args);
+                      const std::vector<Value>& args,
+                      const TranslateOptions& opts = TranslateOptions::fromEnv());
 
 } // namespace wj

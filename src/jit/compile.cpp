@@ -18,6 +18,7 @@
 #include "fault/fault.h"
 #include "jit/cache.h"
 #include "support/diagnostics.h"
+#include "support/env.h"
 #include "support/scratch.h"
 #include "support/strings.h"
 #include "support/timer.h"
@@ -111,11 +112,6 @@ std::string describeExitStatus(int raw) {
     }
     if (WIFSIGNALED(raw)) return format("killed by signal %d", WTERMSIG(raw));
     return format("unrecognized wait status 0x%x", static_cast<unsigned>(raw));
-}
-
-int envInt(const char* name, int dflt) {
-    const char* v = std::getenv(name);
-    return (v && *v) ? std::atoi(v) : dflt;
 }
 
 std::string slurpFile(const std::string& path) {
@@ -282,8 +278,8 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag)
     // compile errors (nonzero exit with diagnostics) are not retried, and a
     // missing compiler (shell exit 127) escalates to CompilerUnavailableError
     // so jit() can fall back to the interpreter.
-    const int extraRetries = std::max(0, envInt("WJ_JIT_RETRIES", 2));
-    int backoffMs = std::max(1, envInt("WJ_JIT_BACKOFF_MS", 10));
+    const int64_t extraRetries = std::max<int64_t>(0, envInt("WJ_JIT_RETRIES", 2));
+    int64_t backoffMs = std::max<int64_t>(1, envInt("WJ_JIT_BACKOFF_MS", 10));
     int attempts = 0;
     for (;;) {
         ++attempts;

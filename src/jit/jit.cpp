@@ -1,6 +1,5 @@
 #include "jit/jit.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -12,6 +11,7 @@
 #include "runtime/context.h"
 #include "runtime/wjrt.h"
 #include "support/diagnostics.h"
+#include "support/env.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
 
@@ -71,14 +71,9 @@ void unmarshalArray(const wj_array* in, Arr& a) {
     }
 }
 
-/// True unless WJ_JIT_FALLBACK is "0"/"off"/"false"/"no": when the external
-/// C compiler is unavailable, degrade to the interpreter instead of failing.
-bool fallbackEnabled() {
-    const char* v = std::getenv("WJ_JIT_FALLBACK");
-    if (!v) return true;
-    const std::string s(v);
-    return !(s == "0" || s == "off" || s == "false" || s == "no");
-}
+/// True unless WJ_JIT_FALLBACK is off: when the external C compiler is
+/// unavailable, degrade to the interpreter instead of failing.
+bool fallbackEnabled() { return envFlag("WJ_JIT_FALLBACK", true); }
 
 /// Deep copy of a value graph (objects, arrays, primitives). The
 /// interpreter fallback runs on copies so the paper's no-copy-back
@@ -152,7 +147,7 @@ Value slotToValue(int64_t slot, const Type& ret) {
 } // namespace
 
 JitCode::JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
-                 bool mpi)
+                 bool mpi, const TranslateOptions& opts)
     : prog_(&prog), receiver_(std::move(receiver)), method_(std::move(method)),
       recordedArgs_(std::move(args)), mpi_(mpi) {
     // The translated code must satisfy the coding rules (Section 3.2); the
@@ -165,7 +160,7 @@ JitCode::JitCode(const Program& prog, Value receiver, std::string method, std::v
         trace::Span span("jit", trace::enabled()
                                     ? trace::intern("translate " + method_)
                                     : "translate");
-        translation_ = translate(prog, receiver_, method_, recordedArgs_);
+        translation_ = translate(prog, receiver_, method_, recordedArgs_, opts);
     }
     try {
         trace::Span span("jit", trace::enabled()
@@ -389,13 +384,13 @@ Value JitCode::invokeRank(const std::vector<Value>& args) {
 }
 
 JitCode WootinJ::jit(const Program& prog, const Value& receiver, const std::string& method,
-                     std::vector<Value> args) {
-    return JitCode(prog, receiver, method, std::move(args), /*mpi=*/false);
+                     std::vector<Value> args, const TranslateOptions& opts) {
+    return JitCode(prog, receiver, method, std::move(args), /*mpi=*/false, opts);
 }
 
 JitCode WootinJ::jit4mpi(const Program& prog, const Value& receiver, const std::string& method,
-                         std::vector<Value> args) {
-    return JitCode(prog, receiver, method, std::move(args), /*mpi=*/true);
+                         std::vector<Value> args, const TranslateOptions& opts) {
+    return JitCode(prog, receiver, method, std::move(args), /*mpi=*/true, opts);
 }
 
 /// Shared async pipeline: rule-check + translate on the calling thread
@@ -403,9 +398,9 @@ JitCode WootinJ::jit4mpi(const Program& prog, const Value& receiver, const std::
 /// dominant cost), final assembly deferred to the future's get().
 std::future<JitCode> WootinJ::jitAsyncImpl(const Program& prog, Value receiver,
                                            std::string method, std::vector<Value> args,
-                                           bool mpi) {
+                                           bool mpi, const TranslateOptions& opts) {
     requireCodingRules(prog);
-    Translation tr = translate(prog, receiver, method, args);
+    Translation tr = translate(prog, receiver, method, args, opts);
     auto modFut = compileAndLoadAsync(tr.cSource, method);
     return std::async(
         std::launch::deferred,
@@ -426,15 +421,16 @@ std::future<JitCode> WootinJ::jitAsyncImpl(const Program& prog, Value receiver,
 }
 
 std::future<JitCode> WootinJ::jitAsync(const Program& prog, Value receiver, std::string method,
-                                       std::vector<Value> args) {
+                                       std::vector<Value> args, const TranslateOptions& opts) {
     return jitAsyncImpl(prog, std::move(receiver), std::move(method), std::move(args),
-                        /*mpi=*/false);
+                        /*mpi=*/false, opts);
 }
 
 std::future<JitCode> WootinJ::jit4mpiAsync(const Program& prog, Value receiver,
-                                           std::string method, std::vector<Value> args) {
+                                           std::string method, std::vector<Value> args,
+                                           const TranslateOptions& opts) {
     return jitAsyncImpl(prog, std::move(receiver), std::move(method), std::move(args),
-                        /*mpi=*/true);
+                        /*mpi=*/true, opts);
 }
 
 } // namespace wj

@@ -64,7 +64,7 @@ public:
     // time THIS construction paid: 0 when the compile cache served the
     // module (the shared NativeModule may have cost its first builder more).
     double codegenSeconds() const noexcept { return translation_.codegenSeconds; }
-    // ---- bounds-guard accounting (WJ_BOUNDS; see src/analysis/)
+    // ---- bounds-guard accounting (TranslateOptions::bounds; see src/analysis/)
     int64_t boundsGuards() const noexcept { return translation_.boundsGuards; }
     int64_t boundsElided() const noexcept { return translation_.boundsElided; }
     double compileSeconds() const noexcept { return compile_.compileSeconds; }
@@ -92,21 +92,21 @@ public:
     int64_t inlinedObjects() const noexcept { return translation_.inlinedObjects; }
     int64_t kernels() const noexcept { return translation_.kernels; }
     /// Loops the analysis proved dependence-free and the translator
-    /// dispatched through wjrt_parallel_for (WJ_PARALLEL, WJ_THREADS).
+    /// dispatched through wjrt_parallel_for (TranslateOptions::parallel).
     int64_t parallelLoops() const noexcept { return translation_.parallelLoops; }
     /// Reduction loops (`acc = acc op f(i)`) outlined through
     /// wjrt_parallel_reduce with the ordered deterministic combine.
     int64_t reduceLoops() const noexcept { return translation_.reduceLoops; }
     /// Loops the proveVectors pass cleared for SIMD and the translator
-    /// emitted under `#pragma omp simd` (WJ_SIMD) — including vectorized
+    /// emitted under `#pragma omp simd` (TranslateOptions::simd) — including vectorized
     /// chunk loops inside parallel-for/reduce outlines.
     int64_t vectorLoops() const noexcept { return translation_.vectorLoops; }
     /// Allocation sites the translator emitted as SoA (wjrt_alloc_soa)
     /// because the proveLayout pass proved the element class Inline and
-    /// WJ_SOA=1 was set at translation time.
+    /// TranslateOptions::soa was set.
     int64_t soaArrays() const noexcept { return translation_.soaArrays; }
     /// Element classes actually stored SoA in this translation (sorted;
-    /// empty unless WJ_SOA=1 and at least one Inline class is allocated).
+    /// empty unless soa was set and at least one Inline class is allocated).
     const std::vector<std::string>& layoutClasses() const noexcept {
         return translation_.soaClasses;
     }
@@ -135,7 +135,7 @@ public:
 private:
     friend class WootinJ;
     JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
-            bool mpi);
+            bool mpi, const TranslateOptions& opts);
     /// Assembles from a finished translation + compile result (async path).
     JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
             bool mpi, Translation tr, CompileResult compiled);
@@ -162,32 +162,38 @@ private:
     EntryFn entry_ = nullptr;
 };
 
-/// Facade named after the paper's framework.
+/// Facade named after the paper's framework. Every entry point takes the
+/// translation choices as a trailing TranslateOptions value; omitting it
+/// reads the WJ_BOUNDS/PARALLEL/SIMD/SOA environment once for that call.
 class WootinJ {
 public:
     /// Translates `receiver.method(args...)` for single-process execution
     /// (GPU via GpuSim allowed; MPI calls trap at run time).
     static JitCode jit(const Program& prog, const Value& receiver, const std::string& method,
-                       std::vector<Value> args);
+                       std::vector<Value> args,
+                       const TranslateOptions& opts = TranslateOptions::fromEnv());
 
     /// Translates for MPI execution; call set4MPI() before invoke().
     static JitCode jit4mpi(const Program& prog, const Value& receiver, const std::string& method,
-                           std::vector<Value> args);
+                           std::vector<Value> args,
+                           const TranslateOptions& opts = TranslateOptions::fromEnv());
 
     /// Asynchronous variants: translation + external compilation run on the
     /// shared compile thread pool, so independent translation units build
     /// in parallel (the all-variants benches overlap their compiles this
     /// way). `prog` must outlive the returned future's completion; the
     /// future rethrows any rule/translation/compile error on get().
-    static std::future<JitCode> jitAsync(const Program& prog, Value receiver, std::string method,
-                                         std::vector<Value> args);
-    static std::future<JitCode> jit4mpiAsync(const Program& prog, Value receiver,
-                                             std::string method, std::vector<Value> args);
+    static std::future<JitCode> jitAsync(
+        const Program& prog, Value receiver, std::string method, std::vector<Value> args,
+        const TranslateOptions& opts = TranslateOptions::fromEnv());
+    static std::future<JitCode> jit4mpiAsync(
+        const Program& prog, Value receiver, std::string method, std::vector<Value> args,
+        const TranslateOptions& opts = TranslateOptions::fromEnv());
 
 private:
     static std::future<JitCode> jitAsyncImpl(const Program& prog, Value receiver,
                                              std::string method, std::vector<Value> args,
-                                             bool mpi);
+                                             bool mpi, const TranslateOptions& opts);
 };
 
 } // namespace wj

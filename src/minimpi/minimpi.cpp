@@ -5,12 +5,12 @@
 #include "minimpi/minimpi.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "fault/fault.h"
 #include "support/diagnostics.h"
+#include "support/env.h"
 #include "support/strings.h"
 #include "trace/trace.h"
 
@@ -25,32 +25,18 @@ constexpr int kTagReduceDown = 3;
 
 constexpr int kDefaultWatchdogMs = 30000;
 
-int watchdogDefaultMs() {
-    if (const char* v = std::getenv("WJ_WATCHDOG_MS"); v && *v) {
-        return std::atoi(v);
-    }
-    return kDefaultWatchdogMs;
-}
+int watchdogDefaultMs() { return static_cast<int>(envInt("WJ_WATCHDOG_MS", kDefaultWatchdogMs)); }
 
 } // namespace
 
 TransportKind defaultTransportKind() {
-    if (const char* v = std::getenv("WJ_TRANSPORT"); v && *v) {
-        if (std::strcmp(v, "proc") == 0) return TransportKind::Proc;
-        if (std::strcmp(v, "threads") == 0) return TransportKind::Threads;
-        throw UsageError(std::string("WJ_TRANSPORT must be 'threads' or 'proc', got '") + v +
-                         "'");
-    }
-    return TransportKind::Threads;
+    const std::string v = envStr("WJ_TRANSPORT");
+    if (v.empty() || v == "threads") return TransportKind::Threads;
+    if (v == "proc") return TransportKind::Proc;
+    throw UsageError("WJ_TRANSPORT must be 'threads' or 'proc', got '" + v + "'");
 }
 
-int configuredRanks(int fallback) {
-    if (const char* v = std::getenv("WJ_NP"); v && *v) {
-        const int n = std::atoi(v);
-        if (n > 0) return n;
-    }
-    return fallback;
-}
+int configuredRanks(int fallback) { return static_cast<int>(envInt("WJ_NP", fallback, 1)); }
 
 // ------------------------------------------------------------------ World
 

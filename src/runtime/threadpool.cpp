@@ -1,10 +1,10 @@
 #include "runtime/threadpool.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include <unistd.h>
 
+#include "support/env.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
 
@@ -17,15 +17,17 @@ thread_local bool g_onWorker = false;
 ThreadPool& ThreadPool::instance() {
     // Leaked on purpose: worker threads may outlive static destructors of
     // translation units that still hold the JIT'ed code calling into them.
-    static ThreadPool* pool = new ThreadPool();
+    // WJ_THREADS is read here, once; later changes go through setThreads().
+    static ThreadPool* pool =
+        new ThreadPool(static_cast<int>(std::max<int64_t>(1, envInt("WJ_THREADS", 1))));
     // Fork safety for the proc MPI transport: a forked child inherits the
     // pool object but none of its worker threads, so dispatching on the
     // stale pool would hang. Detect the pid change and hand out a fresh
-    // pool (the parent's shell is leaked — the child's address space is
-    // disposable by construction).
+    // pool of the parent's width (the parent's shell is leaked — the
+    // child's address space is disposable by construction).
     static pid_t owner = ::getpid();
     if (::getpid() != owner) {
-        pool = new ThreadPool();
+        pool = new ThreadPool(pool->threads());
         owner = ::getpid();
     }
     return *pool;
@@ -33,12 +35,9 @@ ThreadPool& ThreadPool::instance() {
 
 bool ThreadPool::onWorkerThread() noexcept { return g_onWorker; }
 
-int ThreadPool::configuredThreads() {
-    if (const char* v = std::getenv("WJ_THREADS"); v && *v) {
-        return std::max(1, std::atoi(v));
-    }
-    return 1;
-}
+int ThreadPool::threads() const noexcept { return threads_.load(); }
+
+void ThreadPool::setThreads(int n) noexcept { threads_.store(std::max(1, n)); }
 
 ThreadPool::~ThreadPool() {
     {
@@ -95,7 +94,7 @@ void ThreadPool::workerMain(int slot) {
 void ThreadPool::parallelFor(int64_t lo, int64_t hi, Body body, void* ctx) {
     if (hi <= lo) return;
     const int64_t n = hi - lo;
-    const int threads = static_cast<int>(std::min<int64_t>(configuredThreads(), n));
+    const int threads = static_cast<int>(std::min<int64_t>(this->threads(), n));
     static auto& dispatchCount = trace::Metrics::instance().counter("pool.dispatches");
     static auto& inlineCount = trace::Metrics::instance().counter("pool.dispatches.inline");
     trace::Span span("pool", "parallelFor", "n", n, "threads", threads);

@@ -5,7 +5,10 @@
 // cores with threads. WootinC mirrors that: MiniMPI ranks are OS threads,
 // and each rank fans loop iterations out to this process-wide pool. The
 // pool is persistent (workers are created once and reused across JIT
-// invocations — test_parallel asserts this) and sized by WJ_THREADS.
+// invocations — test_parallel asserts this). Its width is a value the pool
+// owns: WJ_THREADS only seeds it when the pool is created, setThreads()
+// changes it, and a pool re-created in a forked rank process starts at the
+// parent's width. parallelFor never reads the environment.
 //
 // Determinism contract: parallelFor splits [lo, hi) into at most
 // `threads()` *static contiguous chunks* — chunk boundaries depend only on
@@ -13,7 +16,7 @@
 // translator only dispatches loops whose iterations have disjoint write
 // sets, every memory cell is written by the same iteration — hence the
 // same value — regardless of how chunks map to workers, so results are
-// bitwise-identical to the serial loop for every WJ_THREADS value.
+// bitwise-identical to the serial loop at every width.
 //
 // Nesting and rank-safety: a parallelFor issued from inside a worker (a
 // nested proven-parallel loop, or two MiniMPI ranks racing for the pool)
@@ -34,15 +37,17 @@ namespace wj::runtime {
 class ThreadPool {
 public:
     /// The process-wide pool (workers are lazily created on first parallel
-    /// dispatch and reused until process exit).
+    /// dispatch and reused until process exit). Created with width
+    /// max(1, $WJ_THREADS), or 1 when unset.
     static ThreadPool& instance();
 
     /// True on a pool worker thread, inside its body callback.
     static bool onWorkerThread() noexcept;
 
-    /// Target thread count: max(1, $WJ_THREADS), re-read on every call so
-    /// tests and wjc --threads can change it between invocations.
-    static int configuredThreads();
+    /// The width: the most chunks one dispatch splits into (≥ 1).
+    int threads() const noexcept;
+    /// Sets the width of later dispatches; values below 1 mean 1.
+    void setThreads(int n) noexcept;
 
     using Body = void (*)(int64_t lo, int64_t hi, void* ctx);
 
@@ -55,14 +60,14 @@ public:
 
     /// Dispatches that actually fanned out (≥ 2 chunks) — pool-reuse tests.
     int64_t dispatches() const noexcept;
-    /// Workers ever created; stable across invocations at a fixed
-    /// WJ_THREADS, proving the pool persists instead of respawning.
+    /// Workers ever created; stable across invocations at a fixed width,
+    /// proving the pool persists instead of respawning.
     int64_t workersSpawned() const noexcept;
 
     ~ThreadPool();
 
 private:
-    ThreadPool() = default;
+    explicit ThreadPool(int threads) : threads_(threads) {}
     void ensureWorkers(int want);  // callers hold m_
     void workerMain(int slot);
 
@@ -75,6 +80,7 @@ private:
         int traceRank = -1; // dispatching rank, for worker-chunk spans
     };
 
+    std::atomic<int> threads_;
     std::mutex m_;
     /// One dispatch owns the workers at a time; a losing rank runs its
     /// range inline and serial instead of blocking (results are identical

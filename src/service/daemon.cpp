@@ -30,6 +30,7 @@
 #include "service/bundle.h"
 #include "service/protocol.h"
 #include "support/diagnostics.h"
+#include "support/env.h"
 #include "support/strings.h"
 #include "support/timer.h"
 #include "trace/metrics.h"
@@ -46,13 +47,6 @@ namespace {
 // would fail with "undefined symbol". Taking one address forces the TU in.
 [[gnu::used]] void* const kKeepRuntimeLinked =
     reinterpret_cast<void*>(&wjrt_alloc_array);
-
-int envInt(const char* name, int dflt) {
-    const char* v = std::getenv(name);
-    if (!v || !*v) return dflt;
-    const int n = std::atoi(v);
-    return n > 0 ? n : dflt;
-}
 
 /// One client connection. Shared between its reader thread and every
 /// worker holding one of its jobs, so a response can be written (or its
@@ -167,6 +161,7 @@ struct Daemon::Impl {
     int workers = 4;
     int maxPerClient = 8;
     int queueCap = 64;
+    TranslateOptions translateOpts;
 
     int listenFd = -1;
     std::atomic<bool> stopping{false};
@@ -239,7 +234,7 @@ Outcome Daemon::Impl::runPipeline(const Body& req) {
             while (ss >> tok) args.push_back(frontend::parseArgLiteral(tok));
         }
         trace::Span xlSpan("wjd", "translate");
-        tr = translate(prog, receiver, *method, args);
+        tr = translate(prog, receiver, *method, args, translateOpts);
     } catch (const UsageError& e) {
         // Thrown by the parser with line/col context; by the composition /
         // argument readers without. The distinction the client cares about
@@ -607,11 +602,13 @@ void Daemon::start() {
     if (d.opts.socketPath.size() >= sizeof(sockaddr_un{}.sun_path)) {
         throw UsageError("wjd: socket path too long: " + d.opts.socketPath);
     }
-    d.workers = d.opts.workers > 0 ? d.opts.workers : envInt("WJD_WORKERS", 4);
+    d.workers = d.opts.workers > 0 ? d.opts.workers : envInt("WJD_WORKERS", 4, 1);
     d.maxPerClient =
         d.opts.maxInflightPerClient > 0 ? d.opts.maxInflightPerClient
-                                        : envInt("WJD_MAX_INFLIGHT", 8);
-    d.queueCap = d.opts.queueCap > 0 ? d.opts.queueCap : envInt("WJD_QUEUE_CAP", 64);
+                                        : envInt("WJD_MAX_INFLIGHT", 8, 1);
+    d.queueCap = d.opts.queueCap > 0 ? d.opts.queueCap : envInt("WJD_QUEUE_CAP", 64, 1);
+    // One parse of the translation switches serves every request.
+    d.translateOpts = TranslateOptions::fromEnv();
 
     // Worker threads race their eviction sweeps against each other's
     // publishes; the grace window makes that safe (see jit/cache.h). Only

@@ -64,7 +64,8 @@ public:
 
     /// Binds the socket (stealing it from a dead previous daemon, refusing
     /// a live one), preloads bundles, starts the accept thread and worker
-    /// pool. Throws UsageError on bind failure.
+    /// pool. The WJ_* translation switches are parsed here, once, and serve
+    /// every request. Throws UsageError on bind failure.
     void start();
 
     /// Begins the drain: stop accepting connections, reject new Compiles

@@ -2,10 +2,9 @@
 // assignment, interval/shape bounds analysis, effect summaries, and the
 // communication race check — plus the two consumers: the interpreter's
 // first-invoke verification and the translator's bounds-guard elision
-// (WJ_BOUNDS=1 guards only accesses the interval pass could not prove).
+// (bounds mode 1 guards only accesses the interval pass could not prove).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "analysis/analysis.h"
@@ -21,25 +20,6 @@ using namespace wj;
 using namespace wj::dsl;
 
 namespace {
-
-/// Scoped WJ_BOUNDS setting; restores the previous value on destruction.
-class BoundsEnv {
-public:
-    explicit BoundsEnv(const char* mode) {
-        const char* old = std::getenv("WJ_BOUNDS");
-        had_ = old != nullptr;
-        if (had_) old_ = old;
-        setenv("WJ_BOUNDS", mode, 1);
-    }
-    ~BoundsEnv() {
-        if (had_) setenv("WJ_BOUNDS", old_.c_str(), 1);
-        else unsetenv("WJ_BOUNDS");
-    }
-
-private:
-    bool had_ = false;
-    std::string old_;
-};
 
 size_t countOccurrences(const std::string& hay, const std::string& needle) {
     size_t n = 0;
@@ -168,13 +148,12 @@ TEST(Bounds, EntryAnalysisRejectsProvenOob) {
 }
 
 TEST(Bounds, StencilInteriorLoopsNeedNoGuards) {
-    BoundsEnv env("1");
     Program p = stencil::buildProgram();
     Interp in(p);
     Value runner = stencil::makeCpuRunner(in, 8, 8, 8,
                                           stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f),
                                           42);
-    Translation t = translate(p, runner, "run", {Value::ofI32(3)});
+    Translation t = translate(p, runner, "run", {Value::ofI32(3)}, {.bounds = 1});
     // The headline property: with the interval pass on, the diffusion
     // stencil (triple-nested interior loop, clamped neighbor indexing)
     // compiles with ZERO runtime bounds guards.
@@ -185,29 +164,27 @@ TEST(Bounds, StencilInteriorLoopsNeedNoGuards) {
 }
 
 TEST(Bounds, MatmulInteriorLoopsNeedNoGuards) {
-    BoundsEnv env("1");
     Program p = matmul::buildProgram();
     Interp in(p);
     Value app = matmul::makeCpuApp(in, matmul::Calc::Optimized);
-    Translation t = translate(p, app, "run", {Value::ofI32(16), Value::ofI32(7)});
+    Translation t =
+        translate(p, app, "run", {Value::ofI32(16), Value::ofI32(7)}, {.bounds = 1});
     EXPECT_EQ(t.boundsGuards, 0);
     EXPECT_GT(t.boundsElided, 0);
 }
 
 TEST(Bounds, GuardModeAllGuardsEveryAccess) {
-    BoundsEnv env("all");
     Program p = stencil::buildProgram();
     Interp in(p);
     Value runner = stencil::makeCpuRunner(in, 8, 8, 8,
                                           stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f),
                                           42);
-    Translation t = translate(p, runner, "run", {Value::ofI32(3)});
+    Translation t = translate(p, runner, "run", {Value::ofI32(3)}, {.bounds = 2});
     EXPECT_GT(t.boundsGuards, 0);
     EXPECT_EQ(t.boundsElided, 0);
 }
 
 TEST(Bounds, GuardTrapsOnRuntimeOob) {
-    BoundsEnv env("1");
     // The index is a float->int cast, which the interval pass treats as
     // unknown — so a guard is emitted, and at runtime it trips.
     ProgramBuilder pb;
@@ -217,7 +194,7 @@ TEST(Bounds, GuardTrapsOnRuntimeOob) {
     Program p = pb.build();
     Interp in(p);
     Value obj = in.instantiate("C", {});
-    JitCode code = WootinJ::jit(p, obj, "f", {});
+    JitCode code = WootinJ::jit(p, obj, "f", {}, {.bounds = 1});
     EXPECT_GT(code.boundsGuards(), 0);
     EXPECT_THROW(code.invoke(), ExecError);
 }
@@ -236,13 +213,9 @@ TEST(Bounds, DifferentialGuardedVsUnguardedResultsAgree) {
     Interp in(p);
     Value obj = in.instantiate("C", {});
     double unguarded, guarded;
+    unguarded = WootinJ::jit(p, obj, "run", {Value::ofI32(64)}, {.bounds = 0}).invoke().asF64();
     {
-        BoundsEnv env("0");
-        unguarded = WootinJ::jit(p, obj, "run", {Value::ofI32(64)}).invoke().asF64();
-    }
-    {
-        BoundsEnv env("all");
-        JitCode code = WootinJ::jit(p, obj, "run", {Value::ofI32(64)});
+        JitCode code = WootinJ::jit(p, obj, "run", {Value::ofI32(64)}, {.bounds = 2});
         EXPECT_GT(code.boundsGuards(), 0);
         guarded = code.invoke().asF64();
     }
@@ -250,17 +223,16 @@ TEST(Bounds, DifferentialGuardedVsUnguardedResultsAgree) {
 }
 
 TEST(Bounds, DifferentialDiffusionAcrossGuardModes) {
-    // The paper-listing diffusion stencil, jitted under every WJ_BOUNDS
-    // mode — guard placement must never change the numerics.
+    // The paper-listing diffusion stencil, jitted under every bounds mode —
+    // guard placement must never change the numerics.
     Program p = stencil::buildProgram();
     Interp in(p);
     const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
     Value runner = stencil::makeCpuRunner(in, 8, 8, 8, coeffs, 42);
     const double expect = stencil::referenceDiffusion3D(8, 8, 8, coeffs, 42, 2);
-    for (const char* mode : {"0", "1", "all"}) {
-        BoundsEnv env(mode);
-        JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(2)});
-        EXPECT_DOUBLE_EQ(expect, code.invoke().asF64()) << "WJ_BOUNDS=" << mode;
+    for (int mode : {0, 1, 2}) {
+        JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(2)}, {.bounds = mode});
+        EXPECT_DOUBLE_EQ(expect, code.invoke().asF64()) << "bounds=" << mode;
     }
 }
 

@@ -11,9 +11,10 @@
 // source change.
 //
 // translate() is called directly — no external compiler, no dlopen — so
-// these tests are fast and hermetic. WJ_BOUNDS / WJ_PARALLEL are pinned per
-// test because they legitimately change the output (that is the point of
-// the guarded/parallel variants below).
+// these tests are fast and hermetic. Each test passes its TranslateOptions
+// explicitly because they legitimately change the output (that is the point
+// of the guarded/parallel/simd/soa variants below); the environment plays
+// no part except in the TranslateOptionsEnv tests of its parsing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -26,6 +27,7 @@
 #include "jit/codegen.h"
 #include "matmul/matmul_lib.h"
 #include "stencil/stencil_lib.h"
+#include "support/env.h"
 
 using namespace wj;
 using namespace wj::dsl;
@@ -38,10 +40,7 @@ std::string goldenPath(const std::string& name) {
     return std::string(WJ_GOLDEN_DIR) + "/" + name;
 }
 
-bool updateMode() {
-    const char* v = std::getenv("WJ_UPDATE_GOLDEN");
-    return v && *v && std::string(v) != "0";
-}
+bool updateMode() { return envFlag("WJ_UPDATE_GOLDEN", false); }
 
 bool slurp(const std::string& path, std::string& out) {
     std::ifstream f(path, std::ios::binary);
@@ -98,58 +97,35 @@ void checkGolden(const std::string& name, const std::string& actual) {
            << "and review the golden diff.";
 }
 
-/// Clears an env var for the scope (the translator reads WJ_BOUNDS /
-/// WJ_PARALLEL at translate() time) and restores it on exit.
-class ScopedUnset {
-public:
-    explicit ScopedUnset(const char* name) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        unsetenv(name);
-    }
-    ~ScopedUnset() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-    }
-    ScopedUnset(const ScopedUnset&) = delete;
-    ScopedUnset& operator=(const ScopedUnset&) = delete;
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
-
-Translation translateDiffusion() {
+Translation translateDiffusion(const TranslateOptions& opts = {}) {
     static Program prog = stencil::buildProgram();
     Interp in(prog);
     const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
     Value runner = stencil::makeCpuRunner(in, 8, 8, 8, coeffs, 7);
-    return translate(prog, runner, "run", {Value::ofI32(1)});
+    return translate(prog, runner, "run", {Value::ofI32(1)}, opts);
 }
 
-Translation translateMatmul() {
+Translation translateMatmul(const TranslateOptions& opts = {}) {
     static Program prog = matmul::buildProgram();
     Interp in(prog);
     Value app = matmul::makeCpuApp(in, matmul::Calc::Optimized);
-    return translate(prog, app, "run", {Value::ofI32(8), Value::ofI32(7)});
+    return translate(prog, app, "run", {Value::ofI32(8), Value::ofI32(7)}, opts);
 }
 
-/// Array fill + dot product — the CG reduction kernel in miniature. Under
-/// WJ_PARALLEL the fill outlines through wjrt_parallel_for and the dot
-/// through wjrt_parallel_reduce (chunk fn + identity seeding + ordered
-/// combine), which is exactly what this snapshot pins.
 /// The cell-chain workload over Cell[] buffers (see stencil_lib): the
 /// canonical subject of the proveLayout AoS→SoA split.
-Translation translateCells() {
+Translation translateCells(const TranslateOptions& opts = {}) {
     static Program prog = stencil::buildProgram();
     Interp in(prog);
     Value runner = stencil::makeCellRunner(in, 64, 0.25f, 0.5f, 11);
-    return translate(prog, runner, "run", {Value::ofI32(2)});
+    return translate(prog, runner, "run", {Value::ofI32(2)}, opts);
 }
 
-Translation translateDot() {
+/// Array fill + dot product — the CG reduction kernel in miniature. Under
+/// the parallel option the fill outlines through wjrt_parallel_for and the
+/// dot through wjrt_parallel_reduce (chunk fn + identity seeding + ordered
+/// combine), which is exactly what its snapshot pins.
+Translation translateDot(const TranslateOptions& opts = {}) {
     static Program prog = [] {
         ProgramBuilder pb;
         pb.cls("Dot")
@@ -172,97 +148,132 @@ Translation translateDot() {
     }();
     Interp in(prog);
     Value obj = in.instantiate("Dot", {});
-    return translate(prog, obj, "run", {Value::ofI32(100)});
+    return translate(prog, obj, "run", {Value::ofI32(100)}, opts);
 }
 
 } // namespace
 
-class CodegenGolden : public ::testing::Test {
-protected:
-    // Pin the knobs that legitimately change the output; each variant test
-    // re-sets exactly the one it exercises.
-    ScopedUnset bounds_{"WJ_BOUNDS"};
-    ScopedUnset parallel_{"WJ_PARALLEL"};
-    ScopedUnset simd_{"WJ_SIMD"};
-    ScopedUnset soa_{"WJ_SOA"};
-};
-
-TEST_F(CodegenGolden, Diffusion3DCpu) {
+TEST(CodegenGolden, Diffusion3DCpu) {
     checkGolden("diffusion3d_cpu.c.golden", translateDiffusion().cSource);
 }
 
-TEST_F(CodegenGolden, MatmulCpu) {
+TEST(CodegenGolden, MatmulCpu) {
     checkGolden("matmul_cpu.c.golden", translateMatmul().cSource);
 }
 
-// The WJ_BOUNDS=all variant pins guard emission (wj_chk on every access).
-TEST_F(CodegenGolden, Diffusion3DCpuBoundsAll) {
-    setenv("WJ_BOUNDS", "all", 1);
-    checkGolden("diffusion3d_cpu_bounds.c.golden", translateDiffusion().cSource);
+// The bounds=2 ("all") variant pins guard emission (wj_chk on every access).
+TEST(CodegenGolden, Diffusion3DCpuBoundsAll) {
+    checkGolden("diffusion3d_cpu_bounds.c.golden", translateDiffusion({.bounds = 2}).cSource);
 }
 
-// The WJ_PARALLEL=1 variant pins parallel-for outlining and the guarded
+// The parallel variant pins parallel-for outlining and the guarded
 // dispatch (wjrt_parallel_for + wjrt_guard_fallback serial else-branch).
-TEST_F(CodegenGolden, MatmulCpuParallel) {
-    setenv("WJ_PARALLEL", "1", 1);
-    checkGolden("matmul_cpu_parallel.c.golden", translateMatmul().cSource);
+TEST(CodegenGolden, MatmulCpuParallel) {
+    checkGolden("matmul_cpu_parallel.c.golden", translateMatmul({.parallel = true}).cSource);
 }
 
-// The WJ_PARALLEL=1 dot-product variant pins the ParallelReduce outlining:
+// The parallel dot-product variant pins the ParallelReduce outlining:
 // per-chunk partial record, exact-identity seeding, fixed chunk grid, and
 // the ordered combine loop.
-TEST_F(CodegenGolden, DotProductParallelReduce) {
-    setenv("WJ_PARALLEL", "1", 1);
-    checkGolden("cg_dot_parallel.c.golden", translateDot().cSource);
+TEST(CodegenGolden, DotProductParallelReduce) {
+    checkGolden("cg_dot_parallel.c.golden", translateDot({.parallel = true}).cSource);
 }
 
-// The WJ_SIMD=1 variants pin the vectorized emission: `#pragma omp simd`
+// The simd variants pin the vectorized emission: `#pragma omp simd`
 // on every proveVectors-cleared loop, restrict-qualified element-pointer
 // hoists, wjrt_ranges_disjoint guards with the scalar else-branch, and —
 // for the dot product — the ABSENCE of a reduction clause on the inexact
 // f64 accumulator.
-TEST_F(CodegenGolden, Diffusion3DCpuSimd) {
-    setenv("WJ_SIMD", "1", 1);
-    checkGolden("diffusion3d_cpu_simd.c.golden", translateDiffusion().cSource);
+TEST(CodegenGolden, Diffusion3DCpuSimd) {
+    checkGolden("diffusion3d_cpu_simd.c.golden", translateDiffusion({.simd = true}).cSource);
 }
 
-TEST_F(CodegenGolden, MatmulCpuSimd) {
-    setenv("WJ_SIMD", "1", 1);
-    checkGolden("matmul_cpu_simd.c.golden", translateMatmul().cSource);
+TEST(CodegenGolden, MatmulCpuSimd) {
+    checkGolden("matmul_cpu_simd.c.golden", translateMatmul({.simd = true}).cSource);
 }
 
-TEST_F(CodegenGolden, DotProductSimd) {
-    setenv("WJ_SIMD", "1", 1);
-    checkGolden("cg_dot_simd.c.golden", translateDot().cSource);
+TEST(CodegenGolden, DotProductSimd) {
+    checkGolden("cg_dot_simd.c.golden", translateDot({.simd = true}).cSource);
 }
 
-// The WJ_SOA=1 variants pin the AoS→SoA storage split on the cell chain:
+// The soa variants pin the AoS→SoA storage split on the cell chain:
 // wjrt_alloc_soa allocation, per-field region arithmetic, the per-field
 // scatter on element stores, and the SIMD composition (restrict-hoisted
 // per-field lane pointers under `#pragma omp simd`).
-TEST_F(CodegenGolden, CellsStencilSoa) {
-    setenv("WJ_SOA", "1", 1);
-    setenv("WJ_SIMD", "1", 1);
-    checkGolden("cells_stencil_soa.c.golden", translateCells().cSource);
+TEST(CodegenGolden, CellsStencilSoa) {
+    checkGolden("cells_stencil_soa.c.golden",
+                translateCells({.simd = true, .soa = true}).cSource);
 }
 
-// A prim-only unit under WJ_SOA=1 must be byte-identical to the WJ_SOA=0
-// translation: the layout pass only rewrites class-element arrays.
-TEST_F(CodegenGolden, DotProductSoaIsANoOpOnPrimArrays) {
-    setenv("WJ_SOA", "1", 1);
-    setenv("WJ_SIMD", "1", 1);
-    checkGolden("cg_dot_simd.c.golden", translateDot().cSource);
+// A prim-only unit under soa must be byte-identical to the translation
+// without it: the layout pass only rewrites class-element arrays.
+TEST(CodegenGolden, DotProductSoaIsANoOpOnPrimArrays) {
+    checkGolden("cg_dot_simd.c.golden", translateDot({.simd = true, .soa = true}).cSource);
 }
 
 // Determinism prerequisite: two translations of the same unit in one
 // process must be byte-identical, otherwise golden comparison is noise.
-TEST_F(CodegenGolden, TranslationIsDeterministic) {
+TEST(CodegenGolden, TranslationIsDeterministic) {
     EXPECT_EQ(translateDiffusion().cSource, translateDiffusion().cSource);
     EXPECT_EQ(translateMatmul().cSource, translateMatmul().cSource);
-    setenv("WJ_SIMD", "1", 1);
-    EXPECT_EQ(translateDiffusion().cSource, translateDiffusion().cSource);
-    EXPECT_EQ(translateMatmul().cSource, translateMatmul().cSource);
-    EXPECT_EQ(translateDot().cSource, translateDot().cSource);
-    setenv("WJ_SOA", "1", 1);
-    EXPECT_EQ(translateCells().cSource, translateCells().cSource);
+    const TranslateOptions simd{.simd = true};
+    EXPECT_EQ(translateDiffusion(simd).cSource, translateDiffusion(simd).cSource);
+    EXPECT_EQ(translateMatmul(simd).cSource, translateMatmul(simd).cSource);
+    EXPECT_EQ(translateDot(simd).cSource, translateDot(simd).cSource);
+    const TranslateOptions soa{.simd = true, .soa = true};
+    EXPECT_EQ(translateCells(soa).cSource, translateCells(soa).cSource);
+}
+
+// ------------------------------------------------ environment defaults
+
+namespace {
+
+/// Sets (or, for nullptr, unsets) every translation switch to `value` and
+/// returns what the default-options translate() makes of matmul and the
+/// cell chain: the environment is only a default, read at the call.
+std::string translateUnderEnv(const char* value) {
+    for (const char* name : {"WJ_BOUNDS", "WJ_PARALLEL", "WJ_SIMD", "WJ_SOA"}) {
+        if (value) setenv(name, value, 1);
+        else unsetenv(name);
+    }
+    static Program mm = matmul::buildProgram();
+    static Program st = stencil::buildProgram();
+    Interp mi(mm), si(st);
+    Value app = matmul::makeCpuApp(mi, matmul::Calc::Optimized);
+    Value cells = stencil::makeCellRunner(si, 64, 0.25f, 0.5f, 11);
+    return translate(mm, app, "run", {Value::ofI32(8), Value::ofI32(7)}).cSource +
+           translate(st, cells, "run", {Value::ofI32(2)}).cSource;
+}
+
+} // namespace
+
+// The switches share the grammar of WJ_CACHE and WJ_JIT_FALLBACK: "0",
+// "off", "false" and "no" all mean off, so each must translate exactly like
+// an unset environment. "1" must not, or the comparison proves nothing.
+TEST(TranslateOptionsEnv, OffWordsTranslateLikeUnset) {
+    const std::string unset = translateUnderEnv(nullptr);
+    for (const char* off : {"0", "off", "false", "no"}) {
+        EXPECT_EQ(unset, translateUnderEnv(off)) << "switches set to '" << off << "'";
+    }
+    EXPECT_NE(unset, translateUnderEnv("1"));
+    translateUnderEnv(nullptr);
+}
+
+TEST(TranslateOptionsEnv, FromEnvParsesEachSwitch) {
+    const char* names[] = {"WJ_BOUNDS", "WJ_PARALLEL", "WJ_SIMD", "WJ_SOA"};
+    for (const char* name : names) unsetenv(name);
+    TranslateOptions o = TranslateOptions::fromEnv();
+    EXPECT_EQ(0, o.bounds);
+    EXPECT_FALSE(o.parallel || o.simd || o.soa);
+    for (const char* name : names) setenv(name, "yes", 1);
+    o = TranslateOptions::fromEnv();
+    EXPECT_EQ(1, o.bounds);
+    EXPECT_TRUE(o.parallel && o.simd && o.soa);
+    for (const char* all : {"all", "2"}) {
+        setenv("WJ_BOUNDS", all, 1);
+        EXPECT_EQ(2, TranslateOptions::fromEnv().bounds) << "WJ_BOUNDS=" << all;
+    }
+    setenv("WJ_BOUNDS", "off", 1);
+    EXPECT_EQ(0, TranslateOptions::fromEnv().bounds);
+    for (const char* name : names) unsetenv(name);
 }

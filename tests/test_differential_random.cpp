@@ -8,12 +8,12 @@
 // The config matrix, per generated program:
 //   interp            the tree-walking interpreter (the reference)
 //   jit               plain translation (no guards, serial)
-//   jit+bounds        WJ_BOUNDS=all — every array access guarded
-//   jit+par@1         WJ_PARALLEL=1 codegen, WJ_THREADS=1 (inline dispatch)
+//   jit+bounds        bounds=2 ("all") — every array access guarded
+//   jit+par@1         parallel codegen, pool width 1 (inline dispatch)
 //   jit+par@4         the same translation fanned out over 4 pool threads
-//   jit+simd          WJ_SIMD=1 — `#pragma omp simd` on proven loops
+//   jit+simd          simd — `#pragma omp simd` on proven loops
 //   jit+par+simd@4    both codegens composed, 4 pool threads
-//   jit+soa           WJ_SOA=1 — the AoS→SoA layout split (a no-op here:
+//   jit+soa           soa — the AoS→SoA layout split (a no-op here:
 //                     random programs carry no class-element arrays, so
 //                     this pins the restructured element-access codegen)
 //   jit+par+simd+soa@4  all three codegens composed, 4 pool threads
@@ -31,7 +31,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include <string>
@@ -40,6 +39,7 @@
 #include "interp/interp.h"
 #include "ir/builder.h"
 #include "jit/jit.h"
+#include "runtime/threadpool.h"
 #include "support/prng.h"
 
 using namespace wj;
@@ -175,33 +175,6 @@ Program randomProgram(uint64_t seed) {
     return pb.build();
 }
 
-/// Sets (or clears, for nullptr) an env var for the enclosing scope and
-/// restores the previous state on exit — the translator reads WJ_BOUNDS /
-/// WJ_PARALLEL at translate() time and the pool reads WJ_THREADS per
-/// dispatch, so configs are just env scopes around jit()/invoke().
-class ScopedEnv {
-public:
-    ScopedEnv(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value) setenv(name, value, 1);
-        else unsetenv(name);
-    }
-    ~ScopedEnv() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        else unsetenv(name_);
-    }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
-
 uint64_t bitsOf(double d) {
     uint64_t u;
     std::memcpy(&u, &d, sizeof u);
@@ -226,51 +199,28 @@ class RandomDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomDifferential, AllExecutionConfigsBitwiseAgree) {
     const uint64_t seed = static_cast<uint64_t>(GetParam()) * 0x9e3779b9u + 1;
-    // Pin the knobs the matrix varies so the ambient environment cannot
-    // skew a config (a stray WJ_BOUNDS=all would make "plain" = "bounds").
-    ScopedEnv pinB("WJ_BOUNDS", nullptr);
-    ScopedEnv pinP("WJ_PARALLEL", nullptr);
-    ScopedEnv pinT("WJ_THREADS", nullptr);
-    ScopedEnv pinS("WJ_SIMD", nullptr);
-    ScopedEnv pinL("WJ_SOA", nullptr);
-
     Program p = randomProgram(seed);
     Interp in(p);
     Value obj = in.instantiate("T", {});
+    // Every config passes its options explicitly, so the ambient
+    // environment cannot skew one (e.g. make "plain" = "bounds").
+    auto jit = [&](const TranslateOptions& opts) {
+        return WootinJ::jit(p, obj, "run", {Value::ofI32(0)}, opts);
+    };
+    auto& pool = runtime::ThreadPool::instance();
 
-    JitCode plain = WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    JitCode bounds = [&] {
-        ScopedEnv e("WJ_BOUNDS", "all");
-        return WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    }();
+    JitCode plain = jit({});
+    JitCode bounds = jit({.bounds = 2});
     // One translation serves both thread counts: the generated C is
-    // WJ_THREADS-independent (chunking happens in wjrt_parallel_for).
-    JitCode par = [&] {
-        ScopedEnv e("WJ_PARALLEL", "1");
-        return WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    }();
-    JitCode simd = [&] {
-        ScopedEnv e("WJ_SIMD", "1");
-        return WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    }();
-    JitCode parSimd = [&] {
-        ScopedEnv e1("WJ_PARALLEL", "1");
-        ScopedEnv e2("WJ_SIMD", "1");
-        return WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    }();
-    // The WJ_SOA configs exercise the restructured FieldGet/ArraySet paths
-    // in the translator; random programs have no class-element arrays, so
-    // the flag must be a provable no-op on them.
-    JitCode soa = [&] {
-        ScopedEnv e("WJ_SOA", "1");
-        return WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    }();
-    JitCode parSimdSoa = [&] {
-        ScopedEnv e1("WJ_PARALLEL", "1");
-        ScopedEnv e2("WJ_SIMD", "1");
-        ScopedEnv e3("WJ_SOA", "1");
-        return WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    }();
+    // independent of the pool width (chunking happens in wjrt_parallel_for).
+    JitCode par = jit({.parallel = true});
+    JitCode simd = jit({.simd = true});
+    JitCode parSimd = jit({.parallel = true, .simd = true});
+    // The soa configs exercise the restructured FieldGet/ArraySet paths in
+    // the translator; random programs have no class-element arrays, so the
+    // option must be a provable no-op on them.
+    JitCode soa = jit({.soa = true});
+    JitCode parSimdSoa = jit({.parallel = true, .simd = true, .soa = true});
 
     for (int arg : {0, 1, 7, -5, 123}) {
         const std::vector<Value> args{Value::ofI32(arg)};
@@ -285,25 +235,14 @@ TEST_P(RandomDifferential, AllExecutionConfigsBitwiseAgree) {
         std::vector<Row> rows;
         rows.push_back({"jit", plain.invokeWith(args).asF64(), false});
         rows.push_back({"jit+bounds=all", bounds.invokeWith(args).asF64(), false});
-        {
-            ScopedEnv t("WJ_THREADS", "1");
-            rows.push_back({"jit+parallel@1", par.invokeWith(args).asF64(), false});
-        }
-        {
-            ScopedEnv t("WJ_THREADS", "4");
-            rows.push_back({"jit+parallel@4", par.invokeWith(args).asF64(), false});
-        }
+        pool.setThreads(1);
+        rows.push_back({"jit+parallel@1", par.invokeWith(args).asF64(), false});
+        pool.setThreads(4);
+        rows.push_back({"jit+parallel@4", par.invokeWith(args).asF64(), false});
         rows.push_back({"jit+simd", simd.invokeWith(args).asF64(), true});
-        {
-            ScopedEnv t("WJ_THREADS", "4");
-            rows.push_back({"jit+parallel+simd@4", parSimd.invokeWith(args).asF64(), true});
-        }
+        rows.push_back({"jit+parallel+simd@4", parSimd.invokeWith(args).asF64(), true});
         rows.push_back({"jit+soa", soa.invokeWith(args).asF64(), false});
-        {
-            ScopedEnv t("WJ_THREADS", "4");
-            rows.push_back(
-                {"jit+parallel+simd+soa@4", parSimdSoa.invokeWith(args).asF64(), true});
-        }
+        rows.push_back({"jit+parallel+simd+soa@4", parSimdSoa.invokeWith(args).asF64(), true});
         for (const Row& r : rows) {
             if (r.simdRow) {
                 // Expected bitwise too, but tolerated to 1 ulp (see the
@@ -395,27 +334,15 @@ class ReductionDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(ReductionDifferential, ParallelReduceConfigsBitwiseAgree) {
     const uint64_t seed = static_cast<uint64_t>(GetParam()) * 0x51c64b6u + 3;
-    ScopedEnv pinB("WJ_BOUNDS", nullptr);
-    ScopedEnv pinP("WJ_PARALLEL", nullptr);
-    ScopedEnv pinT("WJ_THREADS", nullptr);
-    ScopedEnv pinS("WJ_SIMD", nullptr);
-    ScopedEnv pinL("WJ_SOA", nullptr);
-
     Program p = reductionProgram(seed);
     Interp in(p);
     Value obj = in.instantiate("R", {});
 
-    JitCode plain = WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    JitCode par = [&] {
-        ScopedEnv e("WJ_PARALLEL", "1");
-        return WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    }();
+    JitCode plain = WootinJ::jit(p, obj, "run", {Value::ofI32(0)}, TranslateOptions{});
+    JitCode par = WootinJ::jit(p, obj, "run", {Value::ofI32(0)}, {.parallel = true});
     EXPECT_GE(par.reduceLoops(), 4) << "every accumulator loop must outline";
-    JitCode parSimd = [&] {
-        ScopedEnv e1("WJ_PARALLEL", "1");
-        ScopedEnv e2("WJ_SIMD", "1");
-        return WootinJ::jit(p, obj, "run", {Value::ofI32(0)});
-    }();
+    JitCode parSimd =
+        WootinJ::jit(p, obj, "run", {Value::ofI32(0)}, {.parallel = true, .simd = true});
 
     for (int arg : {0, 2, -7, 55}) {
         const std::vector<Value> args{Value::ofI32(arg)};
@@ -424,7 +351,7 @@ TEST_P(ReductionDifferential, ParallelReduceConfigsBitwiseAgree) {
         EXPECT_EQ(ref, bitsOf(plain.invokeWith(args).asF64()))
             << "jit diverged: seed=" << seed << " arg=" << arg;
         for (int t : {1, 4, 8}) {
-            ScopedEnv e("WJ_THREADS", std::to_string(t).c_str());
+            runtime::ThreadPool::instance().setThreads(t);
             EXPECT_EQ(ref, bitsOf(par.invokeWith(args).asF64()))
                 << "jit+parallel@" << t << " diverged: seed=" << seed << " arg=" << arg;
             // simd composed on top: exact reduction clauses (i64 +, f32

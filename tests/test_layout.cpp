@@ -1,13 +1,12 @@
-// The proveLayout AoS→SoA pass (src/analysis/layout.*) and the WJ_SOA
-// codegen path it drives: verdict oracles for every escape/identity rule
+// The proveLayout AoS→SoA pass (src/analysis/layout.*) and the soa
+// codegen path it drives (TranslateOptions::soa): verdict oracles for every escape/identity rule
 // (each Boxed reason must be actionable), the lint-report presentation,
 // the vector-prover flip (struct-strided ScalarOnly under AoS becomes
 // unit-stride Vectorizable under --soa), and the determinism contract on
-// the cell-chain workload — every WJ_SOA/WJ_SIMD/WJ_PARALLEL combination
+// the cell-chain workload — every soa/simd/parallel option combination
 // must stay bitwise-equal to the serial interpreter.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -16,35 +15,13 @@
 #include "interp/interp.h"
 #include "ir/builder.h"
 #include "jit/jit.h"
+#include "runtime/threadpool.h"
 #include "stencil/stencil_lib.h"
 
 using namespace wj;
 using namespace wj::dsl;
 
 namespace {
-
-/// Scoped setenv (nullptr unsets) that restores the previous value on
-/// destruction.
-class ScopedEnv {
-public:
-    ScopedEnv(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value) setenv(name, value, 1);
-        else unsetenv(name);
-    }
-    ~ScopedEnv() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        else unsetenv(name_);
-    }
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 bool bitEq(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
@@ -235,16 +212,16 @@ TEST(ProveLayout, ElementLoopsFlipToVectorizableUnderSoa) {
     Interp in(p);
     Value runner = stencil::makeCellRunner(in, 64, 0.25f, 0.5f, 11);
     {
-        ScopedEnv off("WJ_SOA", "0");
-        analysis::Result r = analysis::analyzeEntry(p, runner, "run", {Value::ofI32(3)});
+        analysis::Result r =
+            analysis::analyzeEntry(p, runner, "run", {Value::ofI32(3)}, {.soa = false});
         EXPECT_TRUE(reportHas(r.vectorReport,
                               "are struct-strided under AoS -- vectorizable under --soa"))
             << joined(r.vectorReport);
         EXPECT_FALSE(reportHas(r.vectorReport, "unit-stride via the SoA layout"));
     }
     {
-        ScopedEnv on("WJ_SOA", "1");
-        analysis::Result r = analysis::analyzeEntry(p, runner, "run", {Value::ofI32(3)});
+        analysis::Result r =
+            analysis::analyzeEntry(p, runner, "run", {Value::ofI32(3)}, {.soa = true});
         EXPECT_TRUE(reportHas(r.vectorReport, "unit-stride via the SoA layout of 'Cell[]'"))
             << joined(r.vectorReport);
         EXPECT_FALSE(reportHas(r.vectorReport, "vectorizable under --soa"));
@@ -252,14 +229,14 @@ TEST(ProveLayout, ElementLoopsFlipToVectorizableUnderSoa) {
 }
 
 TEST(ProveLayout, BoxedElementLoopsStayScalarWithActionableReason) {
-    // The escaping local boxes P, so even under WJ_SOA=1 the fold loop
-    // must refuse with the layout reason attached.
-    ScopedEnv on("WJ_SOA", "1");
+    // The escaping local boxes P, so even under soa the fold loop must
+    // refuse with the layout reason attached.
     Program p = pointProgram(blk(decl("p0", Type::cls("P"), aget(lv("a"), ci(0))),
                                  exprS(getf(lv("p0"), "x"))));
     Interp in(p);
     Value obj = in.instantiate("T", {});
-    analysis::Result r = analysis::analyzeEntry(p, obj, "run", {Value::ofI32(64)});
+    analysis::Result r =
+        analysis::analyzeEntry(p, obj, "run", {Value::ofI32(64)}, {.soa = true});
     EXPECT_TRUE(reportHas(r.vectorReport, "must stay AoS")) << joined(r.vectorReport);
     EXPECT_TRUE(reportHas(r.vectorReport, "layout:")) << joined(r.vectorReport);
 }
@@ -275,54 +252,34 @@ double interpCells(int n, int steps) {
     return in.call(runner, "run", {Value::ofI32(steps)}).asF64();
 }
 
-double jitCells(int n, int steps) {
+double jitCells(int n, int steps, const TranslateOptions& opts) {
     Program p = stencil::buildProgram();
     Interp in(p);
     Value runner = stencil::makeCellRunner(in, n, 0.25f, 0.5f, 11);
-    JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(steps)});
+    JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(steps)}, opts);
     return code.invoke().asF64();
 }
 
 } // namespace
 
 TEST(SoaDifferential, CellChainMatchesReferenceEverywhere) {
-    ScopedEnv pinB("WJ_BOUNDS", nullptr);
-    ScopedEnv pinP("WJ_PARALLEL", nullptr);
-    ScopedEnv pinT("WJ_THREADS", nullptr);
-    ScopedEnv pinS("WJ_SIMD", nullptr);
-    ScopedEnv pinL("WJ_SOA", nullptr);
     const int n = 513, steps = 5;  // odd n: asymmetric halves, exercises swap parity
     const double ref = stencil::referenceCellChain(n, 0.25f, 0.5f, 11, steps);
     const double interp = interpCells(n, steps);
     ASSERT_TRUE(bitEq(interp, ref)) << interp << " vs " << ref;
 
-    EXPECT_TRUE(bitEq(jitCells(n, steps), ref)) << "jit (AoS)";
-    {
-        ScopedEnv soa("WJ_SOA", "1");
-        EXPECT_TRUE(bitEq(jitCells(n, steps), ref)) << "jit+soa";
-    }
-    {
-        ScopedEnv soa("WJ_SOA", "1");
-        ScopedEnv simd("WJ_SIMD", "1");
-        EXPECT_TRUE(bitEq(jitCells(n, steps), ref)) << "jit+soa+simd";
-    }
-    {
-        ScopedEnv soa("WJ_SOA", "1");
-        ScopedEnv simd("WJ_SIMD", "1");
-        ScopedEnv par("WJ_PARALLEL", "1");
-        ScopedEnv th("WJ_THREADS", "4");
-        EXPECT_TRUE(bitEq(jitCells(n, steps), ref)) << "jit+par+simd+soa@4";
-    }
+    EXPECT_TRUE(bitEq(jitCells(n, steps, {}), ref)) << "jit (AoS)";
+    EXPECT_TRUE(bitEq(jitCells(n, steps, {.soa = true}), ref)) << "jit+soa";
+    EXPECT_TRUE(bitEq(jitCells(n, steps, {.simd = true, .soa = true}), ref)) << "jit+soa+simd";
+    runtime::ThreadPool::instance().setThreads(4);
+    EXPECT_TRUE(bitEq(jitCells(n, steps, {.parallel = true, .simd = true, .soa = true}), ref))
+        << "jit+par+simd+soa@4";
 }
 
 TEST(SoaDifferential, LaneProjectionProbeMatchesTheInterpreterEverywhere) {
     // The probe kernel reads only the `u` lane of the six-field record —
     // the workload the layout split exists for. Its checksum must be
     // bitwise-identical across every layout/simd configuration.
-    ScopedEnv pinB("WJ_BOUNDS", nullptr);
-    ScopedEnv pinP("WJ_PARALLEL", nullptr);
-    ScopedEnv pinS("WJ_SIMD", nullptr);
-    ScopedEnv pinL("WJ_SOA", nullptr);
     const int n = 513, steps = 5;
     Program p = stencil::buildProgram();
     Interp in(p);
@@ -330,36 +287,26 @@ TEST(SoaDifferential, LaneProjectionProbeMatchesTheInterpreterEverywhere) {
     const std::vector<Value> args = {Value::ofI32(steps)};
     const double ref = in.call(runner, "probe", args).asF64();
 
-    const auto jitProbe = [&] {
-        return WootinJ::jit(p, runner, "probe", args).invoke().asF64();
+    const auto jitProbe = [&](const TranslateOptions& opts) {
+        return WootinJ::jit(p, runner, "probe", args, opts).invoke().asF64();
     };
-    EXPECT_TRUE(bitEq(jitProbe(), ref)) << "jit (AoS)";
-    {
-        ScopedEnv soa("WJ_SOA", "1");
-        EXPECT_TRUE(bitEq(jitProbe(), ref)) << "jit+soa";
-    }
-    {
-        ScopedEnv soa("WJ_SOA", "1");
-        ScopedEnv simd("WJ_SIMD", "1");
-        EXPECT_TRUE(bitEq(jitProbe(), ref)) << "jit+soa+simd";
-    }
+    EXPECT_TRUE(bitEq(jitProbe({}), ref)) << "jit (AoS)";
+    EXPECT_TRUE(bitEq(jitProbe({.soa = true}), ref)) << "jit+soa";
+    EXPECT_TRUE(bitEq(jitProbe({.simd = true, .soa = true}), ref)) << "jit+soa+simd";
 }
 
 TEST(SoaDifferential, TranslatorReportsTheSplit) {
-    ScopedEnv pinS("WJ_SIMD", nullptr);
     Program p = stencil::buildProgram();
     Interp in(p);
     Value runner = stencil::makeCellRunner(in, 64, 0.25f, 0.5f, 11);
     {
-        ScopedEnv off("WJ_SOA", nullptr);
-        JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(2)});
+        JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(2)}, {.soa = false});
         EXPECT_EQ(code.soaArrays(), 0);
         EXPECT_TRUE(code.layoutClasses().empty());
         EXPECT_EQ(code.generatedC().find("wjrt_alloc_soa"), std::string::npos);
     }
     {
-        ScopedEnv on("WJ_SOA", "1");
-        JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(2)});
+        JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(2)}, {.soa = true});
         EXPECT_EQ(code.soaArrays(), 2) << "cur and nxt allocations";
         ASSERT_EQ(code.layoutClasses().size(), 1u);
         EXPECT_EQ(code.layoutClasses()[0], "Cell");
@@ -368,12 +315,10 @@ TEST(SoaDifferential, TranslatorReportsTheSplit) {
 }
 
 TEST(SoaDifferential, SoaComposesWithSimdVectorization) {
-    ScopedEnv soa("WJ_SOA", "1");
-    ScopedEnv simd("WJ_SIMD", "1");
     Program p = stencil::buildProgram();
     Interp in(p);
     Value runner = stencil::makeCellRunner(in, 256, 0.25f, 0.5f, 11);
-    JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(2)});
+    JitCode code = WootinJ::jit(p, runner, "run", {Value::ofI32(2)}, {.simd = true, .soa = true});
     // fill + interior sweep must vectorize once the layout is unit-stride
     // (the f64 checksum fold stays on the exact serial accumulator path).
     EXPECT_GE(code.vectorLoops(), 2) << code.generatedC();

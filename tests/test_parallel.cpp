@@ -1,8 +1,8 @@
 // The intra-rank multithreaded execution backend, end to end: the static
 // chunker and thread pool (runtime/threadpool.h), the dependence prover's
 // per-loop verdicts (analysis/analysis.cpp), the parallel-for outliner in
-// the translator (WJ_PARALLEL), and the determinism contract — threaded
-// runs must be bitwise-identical to serial for every WJ_THREADS value.
+// the translator (TranslateOptions::parallel), and the determinism contract
+// — threaded runs must be bitwise-identical to serial at every pool width.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +19,7 @@
 #include "ir/builder.h"
 #include "jit/jit.h"
 #include "matmul/matmul_lib.h"
+#include "minimpi/minimpi.h"
 #include "runtime/threadpool.h"
 #include "runtime/wjrt.h"
 #include "stencil/stencil_lib.h"
@@ -30,27 +31,6 @@ using runtime::ThreadPool;
 using runtime::staticChunk;
 
 namespace {
-
-/// Scoped setenv that restores the previous value on destruction.
-class ScopedEnv {
-public:
-    ScopedEnv(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        setenv(name, value, 1);
-    }
-    ~ScopedEnv() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        else unsetenv(name_);
-    }
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 bool bitEq(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
@@ -104,7 +84,7 @@ void fillBody(int64_t lo, int64_t hi, void* ctx) {
 }
 
 std::vector<int64_t> runFill(int threads, int64_t n) {
-    ScopedEnv env("WJ_THREADS", std::to_string(threads).c_str());
+    ThreadPool::instance().setThreads(threads);
     std::vector<int64_t> out(static_cast<size_t>(n), -1);
     FillCtx ctx{out.data()};
     ThreadPool::instance().parallelFor(0, n, fillBody, &ctx);
@@ -116,12 +96,12 @@ std::vector<int64_t> runFill(int threads, int64_t n) {
 TEST(ThreadPoolTest, DisjointWritesIdenticalAcrossThreadCounts) {
     const auto serial = runFill(1, 1000);
     for (int t : {2, 3, 8}) {
-        EXPECT_EQ(serial, runFill(t, 1000)) << "WJ_THREADS=" << t;
+        EXPECT_EQ(serial, runFill(t, 1000)) << "threads=" << t;
     }
 }
 
 TEST(ThreadPoolTest, EmptyAndSingleIterationRanges) {
-    ScopedEnv env("WJ_THREADS", "8");
+    ThreadPool::instance().setThreads(8);
     std::vector<int64_t> out(4, -1);
     FillCtx ctx{out.data()};
     ThreadPool::instance().parallelFor(3, 3, fillBody, &ctx);  // empty: no-op
@@ -131,7 +111,7 @@ TEST(ThreadPoolTest, EmptyAndSingleIterationRanges) {
 }
 
 TEST(ThreadPoolTest, PoolPersistsAcrossDispatches) {
-    ScopedEnv env("WJ_THREADS", "4");
+    ThreadPool::instance().setThreads(4);
     std::vector<int64_t> out(64);
     FillCtx ctx{out.data()};
     ThreadPool::instance().parallelFor(0, 64, fillBody, &ctx);
@@ -139,7 +119,7 @@ TEST(ThreadPoolTest, PoolPersistsAcrossDispatches) {
     EXPECT_GE(spawned, 3);  // 4 chunks = caller + at least 3 workers
     for (int i = 0; i < 5; ++i) ThreadPool::instance().parallelFor(0, 64, fillBody, &ctx);
     EXPECT_EQ(spawned, ThreadPool::instance().workersSpawned())
-        << "dispatches at a fixed WJ_THREADS must reuse workers, not respawn";
+        << "dispatches at a fixed width must reuse workers, not respawn";
 }
 
 namespace {
@@ -164,7 +144,7 @@ void mpiFromWorkerBody(int64_t, int64_t, void*) {
 } // namespace
 
 TEST(ThreadPoolTest, WorkerExceptionRethrownAtDispatch) {
-    ScopedEnv env("WJ_THREADS", "4");
+    ThreadPool::instance().setThreads(4);
     EXPECT_THROW(ThreadPool::instance().parallelFor(0, 16, throwBody, nullptr), ExecError);
     // The pool stays usable after a failed job.
     std::vector<int64_t> out(16);
@@ -174,7 +154,7 @@ TEST(ThreadPoolTest, WorkerExceptionRethrownAtDispatch) {
 }
 
 TEST(ThreadPoolTest, NestedDispatchRunsInline) {
-    ScopedEnv env("WJ_THREADS", "4");
+    ThreadPool::instance().setThreads(4);
     std::vector<int64_t> out(100, -1);
     FillCtx ctx{out.data()};
     ThreadPool::instance().parallelFor(0, 100, nestedBody, &ctx);
@@ -182,7 +162,7 @@ TEST(ThreadPoolTest, NestedDispatchRunsInline) {
 }
 
 TEST(ThreadPoolTest, CommIntrinsicOnWorkerThreadTrips) {
-    ScopedEnv env("WJ_THREADS", "4");
+    ThreadPool::instance().setThreads(4);
     try {
         ThreadPool::instance().parallelFor(0, 4, mpiFromWorkerBody, nullptr);
         FAIL() << "expected the main-thread guard to throw";
@@ -194,7 +174,7 @@ TEST(ThreadPoolTest, CommIntrinsicOnWorkerThreadTrips) {
 TEST(ThreadPoolTest, ConcurrentDispatchersStayCorrect) {
     // Two MiniMPI ranks racing for the pool: the loser runs inline and
     // serial (busy flag), so both results must still be exact.
-    ScopedEnv env("WJ_THREADS", "4");
+    ThreadPool::instance().setThreads(4);
     constexpr int64_t kN = 4096;
     std::vector<int64_t> outA(kN), outB(kN);
     std::atomic<int> ready{0};
@@ -213,6 +193,37 @@ TEST(ThreadPoolTest, ConcurrentDispatchersStayCorrect) {
         ASSERT_EQ(i * i, outA[static_cast<size_t>(i)]);
         ASSERT_EQ(i * i, outB[static_cast<size_t>(i)]);
     }
+}
+
+namespace {
+
+void countChunkBody(int64_t, int64_t, void* ctx) {
+    static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
+}
+
+} // namespace
+
+// A rank forked by the proc transport cannot reuse the parent's workers,
+// so it re-creates the pool — at the parent's width, not from WJ_THREADS.
+// Each rank reports how many chunks its parallelFor ran and how many
+// dispatches its own pool fanned out.
+TEST(ProcPoolWidth, ForkedRankKeepsTheParentsWidth) {
+    unsetenv("WJ_THREADS");
+    ThreadPool::instance().setThreads(4);
+    minimpi::World world(2, minimpi::TransportKind::Proc);
+    world.run([](minimpi::Comm& c) {
+        std::atomic<int> chunks{0};
+        ThreadPool::instance().parallelFor(0, 64, countChunkBody, &chunks);
+        const double mine =
+            static_cast<double>(chunks.load() * 100 + ThreadPool::instance().dispatches());
+        const double hi = c.allreduceMax(mine), lo = -c.allreduceMax(-mine);
+        if (c.rank() == 0) c.publishResult(0, hi == lo ? static_cast<int64_t>(hi) : -1);
+    });
+    int kind = 0;
+    int64_t report = 0;
+    ASSERT_TRUE(world.takeResult(&kind, &report));
+    // chunks * 100 + dispatches, agreed by both ranks (-1: they differ).
+    EXPECT_EQ(4 * 100 + 1, report);
 }
 
 // -------------------------------------------------- prover verdicts (lint)
@@ -426,14 +437,12 @@ TEST(ReductionCodegen, OutlinesThroughWjrtParallelReduce) {
     Interp in(p);
     Value obj = in.instantiate("T", {});
     {
-        ScopedEnv off("WJ_PARALLEL", "0");
-        Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)});
+        Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)}, {.parallel = false});
         EXPECT_EQ(0, t.reduceLoops);
         EXPECT_EQ(std::string::npos, t.cSource.find("wjrt_parallel_reduce"));
     }
     {
-        ScopedEnv on("WJ_PARALLEL", "1");
-        Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)});
+        Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)}, {.parallel = true});
         EXPECT_EQ(1, t.reduceLoops);
         EXPECT_GE(t.parallelLoops, 1);  // the fill loop
         EXPECT_NE(std::string::npos, t.cSource.find("wjrt_parallel_reduce"));
@@ -450,41 +459,34 @@ TEST(ReductionEndToEnd, ShortTripBitwiseEqualsSerialAndInterp) {
     Value obj = in.instantiate("T", {});
     const std::vector<Value> args{Value::ofI32(48)};
     const double ref = in.call(obj, "run", args).asF64();
-    JitCode serial = [&] {
-        ScopedEnv e("WJ_PARALLEL", "0");
-        return WootinJ::jit(p, obj, "run", args);
-    }();
-    JitCode par = [&] {
-        ScopedEnv e("WJ_PARALLEL", "1");
-        return WootinJ::jit(p, obj, "run", args);
-    }();
+    JitCode serial = WootinJ::jit(p, obj, "run", args, {.parallel = false});
+    JitCode par = WootinJ::jit(p, obj, "run", args, {.parallel = true});
     EXPECT_TRUE(bitEq(ref, serial.invokeWith(args).asF64()));
     for (int t : {1, 2, 8}) {
-        ScopedEnv e("WJ_THREADS", std::to_string(t).c_str());
-        EXPECT_TRUE(bitEq(ref, par.invokeWith(args).asF64())) << "WJ_THREADS=" << t;
+        ThreadPool::instance().setThreads(t);
+        EXPECT_TRUE(bitEq(ref, par.invokeWith(args).asF64())) << "threads=" << t;
     }
 }
 
 TEST(ReductionEndToEnd, LongTripBitwiseIdenticalAcrossThreadCounts) {
     // Beyond the chunk grid the f64 sum is regrouped (not bitwise vs the
     // serial fold), but the fixed grid + ordered combine make the result
-    // invariant in WJ_THREADS.
+    // invariant in the pool width.
     Program p = dotProgram();
     Interp in(p);
     Value obj = in.instantiate("T", {});
     const std::vector<Value> args{Value::ofI32(10000)};
-    ScopedEnv on("WJ_PARALLEL", "1");
-    JitCode par = WootinJ::jit(p, obj, "run", args);
+    JitCode par = WootinJ::jit(p, obj, "run", args, {.parallel = true});
     double first = 0;
     bool haveFirst = false;
     for (int t : {1, 2, 3, 8}) {
-        ScopedEnv e("WJ_THREADS", std::to_string(t).c_str());
+        ThreadPool::instance().setThreads(t);
         const double v = par.invokeWith(args).asF64();
         if (!haveFirst) {
             haveFirst = true;
             first = v;
         }
-        EXPECT_TRUE(bitEq(first, v)) << "WJ_THREADS=" << t;
+        EXPECT_TRUE(bitEq(first, v)) << "threads=" << t;
     }
     // And it stays a faithful sum: close to the interpreter's serial fold.
     const double ref = in.call(obj, "run", args).asF64();
@@ -494,7 +496,7 @@ TEST(ReductionEndToEnd, LongTripBitwiseIdenticalAcrossThreadCounts) {
 TEST(ReductionEndToEnd, CgDotProvesAndRunsBitwiseUnderMiniMpi) {
     // The acceptance path: CG's dot loops auto-prove ParallelReduce with
     // no source annotations, and real multi-rank MiniMPI runs produce
-    // bitwise-identical residuals at WJ_THREADS 1/2/8.
+    // bitwise-identical residuals at pool widths 1/2/8.
     Program p = cg::buildProgram();
     Interp in(p);
     {
@@ -504,19 +506,19 @@ TEST(ReductionEndToEnd, CgDotProvesAndRunsBitwiseUnderMiniMpi) {
         EXPECT_TRUE(reportHas(res, "MpiDot.dot: for (i): parallel (reduction)"));
         EXPECT_TRUE(reportHas(res, "reduction over 's' (+, double)"));
     }
-    auto run = [&](int threads, const char* par) {
-        ScopedEnv e1("WJ_PARALLEL", par);
-        ScopedEnv e2("WJ_THREADS", std::to_string(threads).c_str());
+    auto run = [&](int threads, bool par) {
+        ThreadPool::instance().setThreads(threads);
         Value solver = cg::makeMpiSolver(in, 512);
         JitCode code = WootinJ::jit4mpi(
-            p, solver, "run", {Value::ofI32(512), Value::ofI32(3), Value::ofI32(8)});
+            p, solver, "run", {Value::ofI32(512), Value::ofI32(3), Value::ofI32(8)},
+            {.parallel = par});
         code.set4MPI(2);
         return code.invoke().asF64();
     };
-    const double serial = run(1, "0");
-    const double t1 = run(1, "1");
-    const double t2 = run(2, "1");
-    const double t8 = run(8, "1");
+    const double serial = run(1, false);
+    const double t1 = run(1, true);
+    const double t2 = run(2, true);
+    const double t8 = run(8, true);
     EXPECT_TRUE(bitEq(t1, t2));
     EXPECT_TRUE(bitEq(t1, t8));
     EXPECT_NEAR(serial, t1, std::abs(serial) * 1e-6);
@@ -530,14 +532,12 @@ TEST(ParallelCodegen, OutlinesOnlyUnderWjParallel) {
     Value r = stencil::makeMpiRunner(in, 18, 18, 8,
                                      stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f), 42);
     {
-        ScopedEnv off("WJ_PARALLEL", "0");
-        Translation t = translate(p, r, "run", {Value::ofI32(2)});
+        Translation t = translate(p, r, "run", {Value::ofI32(2)}, {.parallel = false});
         EXPECT_EQ(0, t.parallelLoops);
         EXPECT_EQ(std::string::npos, t.cSource.find("wjrt_parallel_for"));
     }
     {
-        ScopedEnv on("WJ_PARALLEL", "1");
-        Translation t = translate(p, r, "run", {Value::ofI32(2)});
+        Translation t = translate(p, r, "run", {Value::ofI32(2)}, {.parallel = true});
         EXPECT_GT(t.parallelLoops, 0);
         EXPECT_NE(std::string::npos, t.cSource.find("wjrt_parallel_for"));
         // The guarded loop keeps a serial fallback branch on the guard.
@@ -549,25 +549,24 @@ TEST(ParallelCodegen, OutlinesOnlyUnderWjParallel) {
 
 namespace {
 
-double runStencilMpi(int threads, const char* par, int ranks) {
-    ScopedEnv p1("WJ_PARALLEL", par);
-    ScopedEnv p2("WJ_THREADS", std::to_string(threads).c_str());
+double runStencilMpi(int threads, bool par, int ranks) {
+    ThreadPool::instance().setThreads(threads);
     Program p = stencil::buildProgram();
     Interp in(p);
     Value r = stencil::makeMpiRunner(in, 34, 34, 16,
                                      stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f), 42);
-    JitCode code = WootinJ::jit4mpi(p, r, "run", {Value::ofI32(4)});
+    JitCode code = WootinJ::jit4mpi(p, r, "run", {Value::ofI32(4)}, {.parallel = par});
     code.set4MPI(ranks);
     return code.invoke().asF64();
 }
 
-double runFox(int threads, const char* par, int ranks) {
-    ScopedEnv p1("WJ_PARALLEL", par);
-    ScopedEnv p2("WJ_THREADS", std::to_string(threads).c_str());
+double runFox(int threads, bool par, int ranks) {
+    ThreadPool::instance().setThreads(threads);
     Program p = matmul::buildProgram();
     Interp in(p);
     Value app = matmul::makeMpiFoxApp(in, matmul::Calc::Optimized, 2);
-    JitCode code = WootinJ::jit4mpi(p, app, "run", {Value::ofI32(64), Value::ofI32(7)});
+    JitCode code = WootinJ::jit4mpi(p, app, "run", {Value::ofI32(64), Value::ofI32(7)},
+                                    {.parallel = par});
     code.set4MPI(ranks);
     return code.invoke().asF64();
 }
@@ -575,40 +574,39 @@ double runFox(int threads, const char* par, int ranks) {
 } // namespace
 
 TEST(ParallelEndToEnd, DiffusionBitwiseEqualAcrossThreadCounts) {
-    const double serial = runStencilMpi(1, "0", 2);
+    const double serial = runStencilMpi(1, false, 2);
     for (int t : {1, 2, 8}) {
-        const double par = runStencilMpi(t, "1", 2);
+        const double par = runStencilMpi(t, true, 2);
         EXPECT_TRUE(bitEq(serial, par))
-            << "WJ_THREADS=" << t << ": serial=" << serial << " parallel=" << par;
+            << "threads=" << t << ": serial=" << serial << " parallel=" << par;
     }
 }
 
 TEST(ParallelEndToEnd, FoxBitwiseEqualAcrossThreadCounts) {
-    const double serial = runFox(1, "0", 4);
+    const double serial = runFox(1, false, 4);
     for (int t : {1, 2, 8}) {
-        const double par = runFox(t, "1", 4);
+        const double par = runFox(t, true, 4);
         EXPECT_TRUE(bitEq(serial, par))
-            << "WJ_THREADS=" << t << ": serial=" << serial << " parallel=" << par;
+            << "threads=" << t << ": serial=" << serial << " parallel=" << par;
     }
 }
 
 TEST(ParallelEndToEnd, PoolReusedAcrossJitInvocations) {
-    (void)runStencilMpi(8, "1", 2);  // warm: spawns up to 7 workers
+    (void)runStencilMpi(8, true, 2);  // warm: spawns up to 7 workers
     const int64_t spawned = ThreadPool::instance().workersSpawned();
-    (void)runStencilMpi(8, "1", 2);
-    (void)runFox(8, "1", 4);
+    (void)runStencilMpi(8, true, 2);
+    (void)runFox(8, true, 4);
     EXPECT_EQ(spawned, ThreadPool::instance().workersSpawned())
         << "JIT invocations must share the persistent pool";
 }
 
 TEST(ParallelEndToEnd, CommStatsReportPooledTraffic) {
-    ScopedEnv p1("WJ_PARALLEL", "1");
-    ScopedEnv p2("WJ_THREADS", "2");
+    ThreadPool::instance().setThreads(2);
     Program p = stencil::buildProgram();
     Interp in(p);
     Value r = stencil::makeMpiRunner(in, 34, 34, 16,
                                      stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f), 42);
-    JitCode code = WootinJ::jit4mpi(p, r, "run", {Value::ofI32(4)});
+    JitCode code = WootinJ::jit4mpi(p, r, "run", {Value::ofI32(4)}, {.parallel = true});
     code.set4MPI(2);
     (void)code.invoke();
     const minimpi::CommStats s = code.commStats();
@@ -637,7 +635,7 @@ void scaleKernel(gpusim::ThreadCtx* t, void* argsv) {
 }
 
 std::vector<float> runScale(int threads, int n) {
-    ScopedEnv env("WJ_THREADS", std::to_string(threads).c_str());
+    ThreadPool::instance().setThreads(threads);
     gpusim::Device d;
     std::vector<float> in(static_cast<size_t>(n)), out(static_cast<size_t>(n), -1.0f);
     for (int i = 0; i < n; ++i) in[static_cast<size_t>(i)] = 0.37f * static_cast<float>(i);
@@ -654,6 +652,6 @@ TEST(GpuSimParallel, BlockFanOutBitwiseEqualsSerial) {
         const auto par = runScale(t, 1000);
         ASSERT_EQ(serial.size(), par.size());
         EXPECT_EQ(0, std::memcmp(serial.data(), par.data(), serial.size() * sizeof(float)))
-            << "WJ_THREADS=" << t;
+            << "threads=" << t;
     }
 }

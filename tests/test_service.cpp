@@ -466,9 +466,10 @@ TEST_F(ServiceTest, ShutdownDrainsInflightCompilesFirst) {
     startDaemon(1);
     const int nonce = nonceBase() + 70;
 
-    // Queue a fresh compile, then immediately request shutdown from a
-    // second connection. The shutdown must not be acknowledged until the
-    // compile finished, and the compile client must still get its answer.
+    // Queue a fresh compile, then request shutdown from a second connection
+    // as soon as the daemon has admitted it. The shutdown must not be
+    // acknowledged until the compile finished, and the compile client must
+    // still get its answer.
     Client worker = connect();
     Body b;
     b.set("new", "Svc" + std::to_string(nonce) + "()");
@@ -476,7 +477,16 @@ TEST_F(ServiceTest, ShutdownDrainsInflightCompilesFirst) {
     b.set("args", "8");
     b.payload = moduleSource(nonce);
     Frame req{MsgType::Compile, 9, encodeBody(b)};
+    auto& inflight = trace::Metrics::instance().counter("wjd.inflight.current");
+    auto& done = trace::Metrics::instance().counter("wjd.compile.ok");
+    const int64_t inflight0 = inflight.value(), done0 = done.value();
     writeFrame(worker.fd(), req);
+    // A Shutdown that overtook the frame in the daemon's readers would
+    // rightly reject the compile as SHUTTING_DOWN (see the next test), so
+    // wait until it is admitted (in flight) or already answered.
+    for (int i = 0; i < 10000 && inflight.value() == inflight0 && done.value() == done0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
 
     Client admin = connect();
     Client::Reply sd = admin.shutdown();

@@ -1,8 +1,8 @@
 // The vectorization-legality prover (proveVectors, src/analysis/) and the
-// WJ_SIMD codegen path it drives: unit-stride/alias/effect audits on every
+// simd codegen path it drives (TranslateOptions::simd): unit-stride/alias/effect audits on every
 // innermost counted loop, `#pragma omp simd` emission with restrict-hoisted
 // element pointers, byte-range overlap guards with a scalar fallback, and
-// the determinism contract — WJ_SIMD=1 output must stay bitwise-equal to
+// the determinism contract — simd output must stay bitwise-equal to
 // the scalar translation (no float reassociation without an exact-operator
 // reduction clause).
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "ir/builder.h"
 #include "jit/jit.h"
 #include "matmul/matmul_lib.h"
+#include "runtime/threadpool.h"
 #include "stencil/stencil_lib.h"
 #include "trace/metrics.h"
 
@@ -26,27 +27,6 @@ using namespace wj;
 using namespace wj::dsl;
 
 namespace {
-
-/// Scoped setenv that restores the previous value on destruction.
-class ScopedEnv {
-public:
-    ScopedEnv(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        setenv(name, value, 1);
-    }
-    ~ScopedEnv() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        else unsetenv(name_);
-    }
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 bool bitEq(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
@@ -189,25 +169,23 @@ TEST(SimdCodegen, EmitsPragmaAndRestrictOnlyUnderWjSimd) {
     const std::vector<Value> args{Value::ofI32(kProbeN)};
     std::string scalarSrc;
     {
-        ScopedEnv off("WJ_SIMD", "0");
-        Translation t = translate(p, obj, "run", args);
+        Translation t = translate(p, obj, "run", args, {.simd = false});
         EXPECT_EQ(0, t.vectorLoops);
         EXPECT_EQ(std::string::npos, t.cSource.find("#pragma omp simd"));
         scalarSrc = t.cSource;
     }
     {
-        ScopedEnv on("WJ_SIMD", "1");
-        Translation t = translate(p, obj, "run", args);
+        Translation t = translate(p, obj, "run", args, {.simd = true});
         EXPECT_GE(t.vectorLoops, 2);  // fill + saxpy update
         EXPECT_NE(std::string::npos, t.cSource.find("#pragma omp simd"));
         EXPECT_NE(std::string::npos, t.cSource.find("restrict"));
         // The f64 sum may vectorize elementwise but must NOT take a lane
         // reduction clause (reassociation would change the bits).
         EXPECT_EQ(std::string::npos, t.cSource.find("reduction("));
-        // WJ_THREADS is a pure runtime decision: the generated C (and so
-        // the compilation cache key) must not depend on it.
-        ScopedEnv th("WJ_THREADS", "8");
-        Translation t8 = translate(p, obj, "run", args);
+        // The pool width is a pure runtime decision: the generated C (and
+        // so the compilation cache key) must not depend on it.
+        runtime::ThreadPool::instance().setThreads(8);
+        Translation t8 = translate(p, obj, "run", args, {.simd = true});
         EXPECT_EQ(t.cSource, t8.cSource);
         EXPECT_NE(scalarSrc, t.cSource);
     }
@@ -221,8 +199,7 @@ TEST(SimdCodegen, ExactReductionCarriesClause) {
         ret(cast(Type::f64(), lv("c")))));
     Interp in(p);
     Value obj = in.instantiate("T", {});
-    ScopedEnv on("WJ_SIMD", "1");
-    Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)});
+    Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)}, {.simd = true});
     EXPECT_GE(t.vectorLoops, 1);
     EXPECT_NE(std::string::npos, t.cSource.find("reduction(+:v_c)"));
 }
@@ -231,8 +208,7 @@ TEST(SimdCodegen, GuardedLoopKeepsScalarFallback) {
     Program p = aliasedCopyProgram();
     Interp in(p);
     Value obj = in.instantiate("T", {});
-    ScopedEnv on("WJ_SIMD", "1");
-    Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)});
+    Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)}, {.simd = true});
     EXPECT_NE(std::string::npos, t.cSource.find("wjrt_ranges_disjoint"));
     EXPECT_NE(std::string::npos, t.cSource.find("wjrt_simd_fallback"));
     EXPECT_NE(std::string::npos, t.cSource.find("#pragma omp simd"));
@@ -246,18 +222,12 @@ TEST(SimdEndToEnd, BitwiseEqualToScalarAndInterp) {
     Value obj = in.instantiate("T", {});
     const std::vector<Value> args{Value::ofI32(kProbeN)};
     const double ref = in.call(obj, "run", args).asF64();
-    JitCode scalar = [&] {
-        ScopedEnv e("WJ_SIMD", "0");
-        return WootinJ::jit(p, obj, "run", args);
-    }();
-    JitCode simd = [&] {
-        ScopedEnv e("WJ_SIMD", "1");
-        return WootinJ::jit(p, obj, "run", args);
-    }();
+    JitCode scalar = WootinJ::jit(p, obj, "run", args, {.simd = false});
+    JitCode simd = WootinJ::jit(p, obj, "run", args, {.simd = true});
     const double a = scalar.invokeWith(args).asF64();
     const double b = simd.invokeWith(args).asF64();
     EXPECT_TRUE(bitEq(ref, a));
-    EXPECT_TRUE(bitEq(a, b)) << "WJ_SIMD must not change a single bit";
+    EXPECT_TRUE(bitEq(a, b)) << "simd must not change a single bit";
 }
 
 TEST(SimdEndToEnd, AliasedCallTakesScalarFallbackAndStaysCorrect) {
@@ -266,10 +236,9 @@ TEST(SimdEndToEnd, AliasedCallTakesScalarFallbackAndStaysCorrect) {
     Value obj = in.instantiate("T", {});
     const std::vector<Value> args{Value::ofI32(kProbeN)};
     const double ref = in.call(obj, "run", args).asF64();
-    ScopedEnv on("WJ_SIMD", "1");
     auto& fallbacks = trace::Metrics::instance().counter("simd.guard.fallbacks");
     const int64_t before = fallbacks.value();
-    JitCode code = WootinJ::jit(p, obj, "run", args);
+    JitCode code = WootinJ::jit(p, obj, "run", args, {.simd = true});
     const double got = code.invokeWith(args).asF64();
     EXPECT_TRUE(bitEq(ref, got));
     // shift(a, a) overlaps byte ranges -> the guard must have sent exactly
@@ -282,26 +251,21 @@ TEST(SimdEndToEnd, ComposesWithParallelBitwiseAcrossThreadCounts) {
     Interp in(p);
     Value obj = in.instantiate("T", {});
     const std::vector<Value> args{Value::ofI32(4096)};
-    const double serial = [&] {
-        ScopedEnv e1("WJ_PARALLEL", "0");
-        ScopedEnv e2("WJ_SIMD", "0");
-        return WootinJ::jit(p, obj, "run", args).invokeWith(args).asF64();
-    }();
-    ScopedEnv e1("WJ_PARALLEL", "1");
-    ScopedEnv e2("WJ_SIMD", "1");
-    JitCode both = WootinJ::jit(p, obj, "run", args);
+    const double serial =
+        WootinJ::jit(p, obj, "run", args, TranslateOptions{}).invokeWith(args).asF64();
+    JitCode both = WootinJ::jit(p, obj, "run", args, {.parallel = true, .simd = true});
     EXPECT_NE(std::string::npos, both.generatedC().find("#pragma omp simd"));
     EXPECT_NE(std::string::npos, both.generatedC().find("wjrt_parallel_for"));
     double first = 0;
     bool haveFirst = false;
     for (int t : {1, 2, 8}) {
-        ScopedEnv e3("WJ_THREADS", std::to_string(t).c_str());
+        runtime::ThreadPool::instance().setThreads(t);
         const double v = both.invokeWith(args).asF64();
         if (!haveFirst) {
             haveFirst = true;
             first = v;
         }
-        EXPECT_TRUE(bitEq(first, v)) << "WJ_THREADS=" << t;
+        EXPECT_TRUE(bitEq(first, v)) << "threads=" << t;
     }
     // 4096 > WJRT_REDUCE_MAX_CHUNKS regroups the f64 sum, so compare the
     // simd+parallel result against serial with a tight tolerance only.
@@ -360,7 +324,7 @@ TEST(KernelVectorization, CgAxpyAndDotLoopsProve) {
 
 TEST(KernelVectorization, KernelsStayBitwiseUnderSimd) {
     // diffusion: 8^3 grid, 3 steps; matmul: 8x8, seed 7 — checksums must be
-    // bit-identical with and without WJ_SIMD (the determinism contract on
+    // bit-identical with and without simd (the determinism contract on
     // the real kernels, not just synthetic loops).
     {
         Program prog = stencil::buildProgram();
@@ -368,10 +332,9 @@ TEST(KernelVectorization, KernelsStayBitwiseUnderSimd) {
         const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
         Value runner = stencil::makeCpuRunner(in, 8, 8, 8, coeffs, 7);
         const std::vector<Value> args = {Value::ofI32(3)};
-        JitCode scalar = WootinJ::jit(prog, runner, "run", args);
+        JitCode scalar = WootinJ::jit(prog, runner, "run", args, TranslateOptions{});
         const double ref = scalar.invokeWith(args).asF64();
-        ScopedEnv simd("WJ_SIMD", "1");
-        JitCode vec = WootinJ::jit(prog, runner, "run", args);
+        JitCode vec = WootinJ::jit(prog, runner, "run", args, {.simd = true});
         EXPECT_NE(std::string::npos, vec.generatedC().find("#pragma omp simd"));
         EXPECT_TRUE(bitEq(ref, vec.invokeWith(args).asF64()));
     }
@@ -380,10 +343,9 @@ TEST(KernelVectorization, KernelsStayBitwiseUnderSimd) {
         Interp in(prog);
         Value app = matmul::makeCpuApp(in, matmul::Calc::Optimized);
         const std::vector<Value> args = {Value::ofI32(8), Value::ofI32(7)};
-        JitCode scalar = WootinJ::jit(prog, app, "run", args);
+        JitCode scalar = WootinJ::jit(prog, app, "run", args, TranslateOptions{});
         const double ref = scalar.invokeWith(args).asF64();
-        ScopedEnv simd("WJ_SIMD", "1");
-        JitCode vec = WootinJ::jit(prog, app, "run", args);
+        JitCode vec = WootinJ::jit(prog, app, "run", args, {.simd = true});
         EXPECT_NE(std::string::npos, vec.generatedC().find("wjrt_ranges_disjoint"));
         EXPECT_TRUE(bitEq(ref, vec.invokeWith(args).asF64()));
     }

@@ -30,15 +30,17 @@
 // translate/run accept --no-cache to bypass the persistent compile cache
 // (equivalent to WJ_CACHE=0) — useful when timing the external compiler —
 // and --fault SPEC to arm the deterministic fault injector (equivalent to
-// WJ_FAULT=SPEC; grammar in src/fault/fault.h). --threads N turns on the
-// analysis-proven parallel-for and parallel-reduce codegen (WJ_PARALLEL=1)
-// and sizes the intra-rank worker pool (WJ_THREADS=N); results are
-// bitwise-identical across every N (and bitwise-equal to the serial run
-// for dependence-free loops and short reductions — see wjrt.h for the
-// reduction determinism contract). --simd (WJ_SIMD=1) additionally emits
-// `#pragma omp simd` for every loop the vectorization-legality prover
-// cleared, with restrict-qualified pointer hoists and runtime overlap
-// guards; the output stays bitwise-equal to the scalar translation.
+// WJ_FAULT=SPEC; grammar in src/fault/fault.h). The translation flags
+// below override their WJ_* environment defaults for this run only.
+// --threads N turns on the analysis-proven parallel-for and parallel-reduce
+// codegen (as WJ_PARALLEL=1 does) and sizes the intra-rank worker pool to
+// N (as WJ_THREADS=N does); results are bitwise-identical across every N
+// (and bitwise-equal to the serial run for dependence-free loops and short
+// reductions — see wjrt.h for the reduction determinism contract).
+// --simd (as WJ_SIMD=1) additionally emits `#pragma omp simd` for every
+// loop the vectorization-legality prover cleared, with restrict-qualified
+// pointer hoists and runtime overlap guards; the output stays bitwise-equal
+// to the scalar translation.
 // --trace FILE (run/trace) overrides the trace destination, equivalent to
 // WJ_TRACE=FILE.
 //
@@ -71,6 +73,7 @@
 #include "jit/cache.h"
 #include "jit/jit.h"
 #include "rules/rules.h"
+#include "runtime/threadpool.h"
 #include "service/bundle.h"
 #include "trace/trace.h"
 
@@ -157,19 +160,21 @@ int runMain(int argc, char** argv) {
         for (const auto& v : vs) std::printf("%s\n", v.str().c_str());
         return 1;
     }
+    // Translation options: the WJ_* environment is the default, flags
+    // override it, and the value is passed down — never written back.
+    TranslateOptions opts = TranslateOptions::fromEnv();
     if (cmd == "lint") {
         bool werror = false;
         for (int i = 3; i < argc; ++i) {
             if (std::strcmp(argv[i], "--Werror") == 0) werror = true;
-            // --soa sets WJ_SOA=1 for the analysis run, so the simd report
-            // shows the verdicts the translator would see under the SoA
-            // layout (element-path loops flip from "vectorizable under
-            // --soa" to Vectorizable).
-            else if (std::strcmp(argv[i], "--soa") == 0) setenv("WJ_SOA", "1", 1);
+            // --soa analyzes under the SoA layout, so the simd report shows
+            // the verdicts the translator would see with --soa (element-path
+            // loops flip from "vectorizable under --soa" to Vectorizable).
+            else if (std::strcmp(argv[i], "--soa") == 0) opts.soa = true;
             else return usage();
         }
         Program p = frontend::parseProgram(slurp(path));
-        analysis::Result r = analysis::lintProgram(p);
+        analysis::Result r = analysis::lintProgram(p, opts);
         for (const auto& v : r.errors) std::printf("error: %s\n", v.str().c_str());
         for (const auto& v : r.warnings)
             std::printf("%s: %s\n", werror ? "error" : "warning", v.str().c_str());
@@ -211,22 +216,23 @@ int runMain(int argc, char** argv) {
         else if (a == "--threads" && i + 1 < argc) {
             // Opting into threads opts into the parallel codegen too; the
             // translation is thread-count-independent, so the cache key only
-            // changes with WJ_PARALLEL, not with N.
-            setenv("WJ_THREADS", argv[++i], 1);
-            setenv("WJ_PARALLEL", "1", 1);
+            // changes with the parallel option, not with N. Forked proc
+            // ranks inherit the pool width.
+            runtime::ThreadPool::instance().setThreads(std::atoi(argv[++i]));
+            opts.parallel = true;
         }
         else if (a == "--simd") {
-            // WJ_SIMD=1: emit `#pragma omp simd` loops (with restrict
-            // pointer hoists and runtime overlap guards) for every loop the
-            // proveVectors pass cleared. Orthogonal to --threads; the
-            // generated C stays thread-count independent either way.
-            setenv("WJ_SIMD", "1", 1);
+            // Emit `#pragma omp simd` loops (with restrict pointer hoists
+            // and runtime overlap guards) for every loop the proveVectors
+            // pass cleared. Orthogonal to --threads; the generated C stays
+            // thread-count independent either way.
+            opts.simd = true;
         }
         else if (a == "--soa") {
-            // WJ_SOA=1: store arrays of Inline-verdict element classes
-            // (proveLayout) as per-field lane regions. Composes with
-            // --threads/--simd; results stay bitwise-identical.
-            setenv("WJ_SOA", "1", 1);
+            // Store arrays of Inline-verdict element classes (proveLayout)
+            // as per-field lane regions. Composes with --threads/--simd;
+            // results stay bitwise-identical.
+            opts.soa = true;
         }
         else if (a == "--no-cache") setenv("WJ_CACHE", "0", 1);
         else if (a == "--transport" && i + 1 < argc) {
@@ -261,7 +267,7 @@ int runMain(int argc, char** argv) {
     if (cmd == "build") {
         if (outDir.empty()) return usage();
         requireCodingRules(prog);
-        Translation tr = translate(prog, receiver, method, args);
+        Translation tr = translate(prog, receiver, method, args, opts);
         const std::string tag =
             std::filesystem::path(path).stem().string() + "." + method;
         service::BundleInfo info = service::writeBundle(outDir, tr, tag);
@@ -270,8 +276,8 @@ int runMain(int argc, char** argv) {
         std::printf("entry:  %s\n", info.entrySymbol.c_str());
         return 0;
     }
-    JitCode code = ranks > 0 ? WootinJ::jit4mpi(prog, receiver, method, args)
-                             : WootinJ::jit(prog, receiver, method, args);
+    JitCode code = ranks > 0 ? WootinJ::jit4mpi(prog, receiver, method, args, opts)
+                             : WootinJ::jit(prog, receiver, method, args, opts);
     if (ranks > 0) code.set4MPI(ranks);
 
     if (cmd == "translate") {
