@@ -301,6 +301,10 @@ void admissionBurst(const std::string& scratch, int base) {
 } // namespace
 
 int main(int argc, char** argv) {
+    // The daemon's worker threads race their eviction sweeps against each
+    // other's publishes; the grace window makes that safe (jit/cache.h).
+    // Set before any thread starts; an explicit setting wins.
+    setenv("WJ_CACHE_EVICT_GRACE_MS", "10000", /*overwrite=*/0);
     const wjbench::Options opts = wjbench::parseArgs(argc, argv);
     if (!opts.traceFile.empty()) trace::Tracer::instance().enable(opts.traceFile);
     wjbench::banner("wjd_load",

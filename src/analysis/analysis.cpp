@@ -46,94 +46,24 @@ std::string fieldKeyOf(const Program& prog, const std::string& cls, const std::s
 
 /// Collects every local name read by an expression tree.
 void collectReads(const Expr& e, std::vector<std::string>& out) {
-    switch (e.kind) {
-    case ExprKind::Const:
-    case ExprKind::This:
-    case ExprKind::StaticGet: return;
-    case ExprKind::Local: out.push_back(as<LocalExpr>(e).name); return;
-    case ExprKind::FieldGet: collectReads(*as<FieldGetExpr>(e).obj, out); return;
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        collectReads(*n.arr, out);
-        collectReads(*n.idx, out);
-        return;
-    }
-    case ExprKind::ArrayLen: collectReads(*as<ArrayLenExpr>(e).arr, out); return;
-    case ExprKind::Unary: collectReads(*as<UnaryExpr>(e).e, out); return;
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        collectReads(*n.l, out);
-        collectReads(*n.r, out);
-        return;
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        collectReads(*n.c, out);
-        collectReads(*n.t, out);
-        collectReads(*n.f, out);
-        return;
-    }
-    case ExprKind::Call: {
-        const auto& n = as<CallExpr>(e);
-        collectReads(*n.recv, out);
-        for (const auto& a : n.args) collectReads(*a, out);
-        return;
-    }
-    case ExprKind::StaticCall:
-        for (const auto& a : as<StaticCallExpr>(e).args) collectReads(*a, out);
-        return;
-    case ExprKind::New:
-        for (const auto& a : as<NewExpr>(e).args) collectReads(*a, out);
-        return;
-    case ExprKind::NewArray: collectReads(*as<NewArrayExpr>(e).len, out); return;
-    case ExprKind::Cast: collectReads(*as<CastExpr>(e).e, out); return;
-    case ExprKind::IntrinsicCall:
-        for (const auto& a : as<IntrinsicExpr>(e).args) collectReads(*a, out);
-        return;
-    }
+    if (e.kind == ExprKind::Local) out.push_back(as<LocalExpr>(e).name);
+    forEachChild(e, [&](const Expr& c) { collectReads(c, out); });
 }
 
 /// Local names a CFG node reads (in its expressions, before its own defs).
 std::vector<std::string> nodeReads(const CfgNode& nd) {
     std::vector<std::string> out;
+    auto reads = [&](const Expr& e) { collectReads(e, out); };
     switch (nd.kind) {
     case CfgNode::Kind::Entry:
     case CfgNode::Kind::Exit: break;
-    case CfgNode::Kind::Branch: collectReads(*nd.cond, out); break;
-    case CfgNode::Kind::ForInit: collectReads(*nd.forS->init, out); break;
-    case CfgNode::Kind::ForStep: collectReads(*nd.forS->step, out); break;
+    case CfgNode::Kind::Branch: reads(*nd.cond); break;
+    case CfgNode::Kind::ForInit: reads(*nd.forS->init); break;
+    case CfgNode::Kind::ForStep: reads(*nd.forS->step); break;
     case CfgNode::Kind::Stmt:
-        switch (nd.stmt->kind) {
-        case StmtKind::Decl: {
-            const auto& n = as<DeclStmt>(*nd.stmt);
-            if (n.init) collectReads(*n.init, out);
-            break;
-        }
-        case StmtKind::AssignLocal: collectReads(*as<AssignLocalStmt>(*nd.stmt).value, out); break;
-        case StmtKind::FieldSet: {
-            const auto& n = as<FieldSetStmt>(*nd.stmt);
-            collectReads(*n.obj, out);
-            collectReads(*n.value, out);
-            break;
-        }
-        case StmtKind::ArraySet: {
-            const auto& n = as<ArraySetStmt>(*nd.stmt);
-            collectReads(*n.arr, out);
-            collectReads(*n.idx, out);
-            collectReads(*n.value, out);
-            break;
-        }
-        case StmtKind::Return: {
-            const auto& n = as<ReturnStmt>(*nd.stmt);
-            if (n.value) collectReads(*n.value, out);
-            break;
-        }
-        case StmtKind::ExprStmt: collectReads(*as<ExprStmt>(*nd.stmt).e, out); break;
-        case StmtKind::SuperCtor:
-            for (const auto& a : as<SuperCtorStmt>(*nd.stmt).args) collectReads(*a, out);
-            break;
-        default: break;
-        }
+        // If/While/For become Branch and ForInit/ForStep nodes, so a Stmt
+        // node never has a nested block.
+        forEachChild(*nd.stmt, reads, [](const Block&) {});
         break;
     }
     return out;
@@ -166,24 +96,11 @@ bool exprHasEffects(const Expr& e) {
     case ExprKind::IntrinsicCall:
     case ExprKind::New:
     case ExprKind::NewArray: return true;
-    case ExprKind::FieldGet: return exprHasEffects(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return exprHasEffects(*n.arr) || exprHasEffects(*n.idx);
+    default: break;
     }
-    case ExprKind::ArrayLen: return exprHasEffects(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return exprHasEffects(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return exprHasEffects(*n.l) || exprHasEffects(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return exprHasEffects(*n.c) || exprHasEffects(*n.t) || exprHasEffects(*n.f);
-    }
-    case ExprKind::Cast: return exprHasEffects(*as<CastExpr>(e).e);
-    default: return false;
-    }
+    bool eff = false;
+    forEachChild(e, [&](const Expr& c) { eff = eff || exprHasEffects(c); });
+    return eff;
 }
 
 // ------------------------------------------------------- definite assignment
@@ -2015,24 +1932,15 @@ void indexParBody(const Block& b, ParBodyIndex& ix) {
 }
 
 /// Any ArrayGet in the tree? (Loop bounds must not read array elements the
-/// body could write — the parallel dispatch evaluates the bound once.)
+/// body could write — the parallel dispatch evaluates the bound once.) The
+/// walk also descends into calls and allocations; its one caller ORs it
+/// with exprHasEffects, which is already true for any bound containing
+/// those, so looking inside them never changes a loop verdict.
 bool exprReadsArray(const Expr& e) {
-    switch (e.kind) {
-    case ExprKind::ArrayGet: return true;
-    case ExprKind::FieldGet: return exprReadsArray(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayLen: return exprReadsArray(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return exprReadsArray(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return exprReadsArray(*n.l) || exprReadsArray(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return exprReadsArray(*n.c) || exprReadsArray(*n.t) || exprReadsArray(*n.f);
-    }
-    case ExprKind::Cast: return exprReadsArray(*as<CastExpr>(e).e);
-    default: return false;
-    }
+    if (e.kind == ExprKind::ArrayGet) return true;
+    bool reads = false;
+    forEachChild(e, [&](const Expr& c) { reads = reads || exprReadsArray(c); });
+    return reads;
 }
 
 bool rangesIntersect(int64_t lo1, int64_t hi1, int64_t lo2, int64_t hi2) {
@@ -2061,106 +1969,19 @@ struct RedUpdate {
 
 /// Number of `Local(name)` reads in an expression tree.
 int countLocalReads(const Expr& e, const std::string& name) {
-    switch (e.kind) {
-    case ExprKind::Local: return as<LocalExpr>(e).name == name ? 1 : 0;
-    case ExprKind::FieldGet: return countLocalReads(*as<FieldGetExpr>(e).obj, name);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return countLocalReads(*n.arr, name) + countLocalReads(*n.idx, name);
-    }
-    case ExprKind::ArrayLen: return countLocalReads(*as<ArrayLenExpr>(e).arr, name);
-    case ExprKind::Unary: return countLocalReads(*as<UnaryExpr>(e).e, name);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return countLocalReads(*n.l, name) + countLocalReads(*n.r, name);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return countLocalReads(*n.c, name) + countLocalReads(*n.t, name) +
-               countLocalReads(*n.f, name);
-    }
-    case ExprKind::Cast: return countLocalReads(*as<CastExpr>(e).e, name);
-    case ExprKind::Call: {
-        const auto& n = as<CallExpr>(e);
-        int c = countLocalReads(*n.recv, name);
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    case ExprKind::StaticCall: {
-        const auto& n = as<StaticCallExpr>(e);
-        int c = 0;
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    case ExprKind::New: {
-        const auto& n = as<NewExpr>(e);
-        int c = 0;
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    case ExprKind::NewArray: return countLocalReads(*as<NewArrayExpr>(e).len, name);
-    case ExprKind::IntrinsicCall: {
-        const auto& n = as<IntrinsicExpr>(e);
-        int c = 0;
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    default: return 0;  // Const, This, StaticGet
-    }
+    int c = e.kind == ExprKind::Local && as<LocalExpr>(e).name == name ? 1 : 0;
+    forEachChild(e, [&](const Expr& x) { c += countLocalReads(x, name); });
+    return c;
 }
 
-int countLocalReadsBlock(const Block& b, const std::string& name);
-
-/// Reads of `name` across every expression of one statement, including
-/// nested control flow (the proveLoop read audit).
-int countLocalReadsStmt(const Stmt& st, const std::string& name) {
-    switch (st.kind) {
-    case StmtKind::Decl: {
-        const auto& n = as<DeclStmt>(st);
-        return n.init ? countLocalReads(*n.init, name) : 0;
-    }
-    case StmtKind::AssignLocal: return countLocalReads(*as<AssignLocalStmt>(st).value, name);
-    case StmtKind::FieldSet: {
-        const auto& n = as<FieldSetStmt>(st);
-        return countLocalReads(*n.obj, name) + countLocalReads(*n.value, name);
-    }
-    case StmtKind::ArraySet: {
-        const auto& n = as<ArraySetStmt>(st);
-        return countLocalReads(*n.arr, name) + countLocalReads(*n.idx, name) +
-               countLocalReads(*n.value, name);
-    }
-    case StmtKind::If: {
-        const auto& n = as<IfStmt>(st);
-        return countLocalReads(*n.cond, name) + countLocalReadsBlock(n.thenB, name) +
-               countLocalReadsBlock(n.elseB, name);
-    }
-    case StmtKind::While: {
-        const auto& n = as<WhileStmt>(st);
-        return countLocalReads(*n.cond, name) + countLocalReadsBlock(n.body, name);
-    }
-    case StmtKind::For: {
-        const auto& n = as<ForStmt>(st);
-        return countLocalReads(*n.init, name) + countLocalReads(*n.cond, name) +
-               countLocalReads(*n.step, name) + countLocalReadsBlock(n.body, name);
-    }
-    case StmtKind::Return: {
-        const auto& n = as<ReturnStmt>(st);
-        return n.value ? countLocalReads(*n.value, name) : 0;
-    }
-    case StmtKind::ExprStmt: return countLocalReads(*as<ExprStmt>(st).e, name);
-    case StmtKind::SuperCtor: {
-        const auto& n = as<SuperCtorStmt>(st);
-        int c = 0;
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    }
-    return 0;
-}
-
+/// Reads of `name` across every expression of a block, including nested
+/// control flow (the proveLoop read audit).
 int countLocalReadsBlock(const Block& b, const std::string& name) {
     int c = 0;
-    for (const auto& st : b) c += countLocalReadsStmt(*st, name);
+    for (const auto& st : b) {
+        forEachChild(*st, [&](const Expr& e) { c += countLocalReads(e, name); },
+                     [&](const Block& sub) { c += countLocalReadsBlock(sub, name); });
+    }
     return c;
 }
 
@@ -2536,16 +2357,11 @@ namespace {
 /// bodies answer no.
 bool blockHasLoop(const Block& b) {
     for (const auto& stp : b) {
-        switch (stp->kind) {
-        case StmtKind::For:
-        case StmtKind::While: return true;
-        case StmtKind::If:
-            if (blockHasLoop(as<IfStmt>(*stp).thenB) || blockHasLoop(as<IfStmt>(*stp).elseB)) {
-                return true;
-            }
-            break;
-        default: break;
-        }
+        if (stp->kind == StmtKind::For || stp->kind == StmtKind::While) return true;
+        bool loop = false;
+        forEachChild(*stp, [](const Expr&) {},
+                     [&](const Block& sub) { loop = loop || blockHasLoop(sub); });
+        if (loop) return true;
     }
     return false;
 }

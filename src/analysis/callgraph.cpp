@@ -30,58 +30,16 @@ private:
     }
 
     void walkExpr(TypeScope& s, const Expr& e, std::set<std::string>& out) {
-        switch (e.kind) {
-        case ExprKind::Call: {
-            const auto& n = as<CallExpr>(e);
-            addVirtualTargets(s, n, out);
-            walkExpr(s, *n.recv, out);
-            for (const auto& a : n.args) walkExpr(s, *a, out);
-            return;
-        }
-        case ExprKind::StaticCall: {
+        // A `new` runs the callee constructor; rule 6 treats ctors as
+        // call-free (definition 3(d)), so only its arguments add edges.
+        if (e.kind == ExprKind::Call) {
+            addVirtualTargets(s, as<CallExpr>(e), out);
+        } else if (e.kind == ExprKind::StaticCall) {
             const auto& n = as<StaticCallExpr>(e);
             const ClassDecl* owner = prog_.methodOwner(n.cls, n.method);
             if (owner) out.insert(owner->name + "." + n.method);
-            for (const auto& a : n.args) walkExpr(s, *a, out);
-            return;
         }
-        case ExprKind::FieldGet: walkExpr(s, *as<FieldGetExpr>(e).obj, out); return;
-        case ExprKind::ArrayGet: {
-            const auto& n = as<ArrayGetExpr>(e);
-            walkExpr(s, *n.arr, out);
-            walkExpr(s, *n.idx, out);
-            return;
-        }
-        case ExprKind::ArrayLen: walkExpr(s, *as<ArrayLenExpr>(e).arr, out); return;
-        case ExprKind::Unary: walkExpr(s, *as<UnaryExpr>(e).e, out); return;
-        case ExprKind::Binary: {
-            const auto& n = as<BinaryExpr>(e);
-            walkExpr(s, *n.l, out);
-            walkExpr(s, *n.r, out);
-            return;
-        }
-        case ExprKind::Cond: {
-            const auto& n = as<CondExpr>(e);
-            walkExpr(s, *n.c, out);
-            walkExpr(s, *n.t, out);
-            walkExpr(s, *n.f, out);
-            return;
-        }
-        case ExprKind::New: {
-            // A `new` runs the callee constructor; rule 6 treats ctors as
-            // call-free (definition 3(d)), so only the arguments matter.
-            for (const auto& a : as<NewExpr>(e).args) walkExpr(s, *a, out);
-            return;
-        }
-        case ExprKind::NewArray: walkExpr(s, *as<NewArrayExpr>(e).len, out); return;
-        case ExprKind::Cast: walkExpr(s, *as<CastExpr>(e).e, out); return;
-        case ExprKind::IntrinsicCall:
-            for (const auto& a : as<IntrinsicExpr>(e).args) walkExpr(s, *a, out);
-            return;
-        case ExprKind::Const: case ExprKind::Local: case ExprKind::This:
-        case ExprKind::StaticGet:
-            return;
-        }
+        forEachChild(e, [&](const Expr& c) { walkExpr(s, c, out); });
     }
 
     void walkStmt(TypeScope& s, const Stmt& st, std::set<std::string>& out) {

@@ -166,11 +166,10 @@ private:
     }
 
     void walkExpr(TypeScope& s, const Expr& e) {
+        forEachChild(e, [&](const Expr& c) { walkExpr(s, c); });
         switch (e.kind) {
         case ExprKind::Call: {
             const auto& n = as<CallExpr>(e);
-            walkExpr(s, *n.recv);
-            for (const auto& a : n.args) walkExpr(s, *a);
             Type rt = typeOf(s, *n.recv);
             if (rt.isClass()) {
                 for (const auto& [owner, m] : resolveVirtual(prog_, rt.className(), n.method)) {
@@ -183,7 +182,6 @@ private:
         }
         case ExprKind::StaticCall: {
             const auto& n = as<StaticCallExpr>(e);
-            for (const auto& a : n.args) walkExpr(s, *a);
             if (const ClassDecl* owner = prog_.methodOwner(n.cls, n.method)) {
                 if (const Method* m = owner->ownMethod(n.method)) {
                     auto it = summaries_.find(m);
@@ -192,46 +190,10 @@ private:
             }
             return;
         }
-        case ExprKind::IntrinsicCall: {
-            const auto& n = as<IntrinsicExpr>(e);
-            for (const auto& a : n.args) walkExpr(s, *a);
-            walkIntrinsic(s, n);
-            return;
-        }
-        case ExprKind::ArrayGet: {
-            const auto& n = as<ArrayGetExpr>(e);
-            walkExpr(s, *n.arr);
-            walkExpr(s, *n.idx);
-            read(classify(s, *n.arr));
-            return;
-        }
-        case ExprKind::FieldGet: walkExpr(s, *as<FieldGetExpr>(e).obj); return;
-        case ExprKind::ArrayLen: walkExpr(s, *as<ArrayLenExpr>(e).arr); return;
-        case ExprKind::Unary: walkExpr(s, *as<UnaryExpr>(e).e); return;
-        case ExprKind::Binary: {
-            const auto& n = as<BinaryExpr>(e);
-            walkExpr(s, *n.l);
-            walkExpr(s, *n.r);
-            return;
-        }
-        case ExprKind::Cond: {
-            const auto& n = as<CondExpr>(e);
-            walkExpr(s, *n.c);
-            walkExpr(s, *n.t);
-            walkExpr(s, *n.f);
-            return;
-        }
-        case ExprKind::New:
-            for (const auto& a : as<NewExpr>(e).args) walkExpr(s, *a);
-            return;
-        case ExprKind::NewArray:
-            eff_.allocates = true;
-            walkExpr(s, *as<NewArrayExpr>(e).len);
-            return;
-        case ExprKind::Cast: walkExpr(s, *as<CastExpr>(e).e); return;
-        case ExprKind::Const: case ExprKind::Local: case ExprKind::This:
-        case ExprKind::StaticGet:
-            return;
+        case ExprKind::IntrinsicCall: walkIntrinsic(s, as<IntrinsicExpr>(e)); return;
+        case ExprKind::ArrayGet: read(classify(s, *as<ArrayGetExpr>(e).arr)); return;
+        case ExprKind::NewArray: eff_.allocates = true; return;
+        default: return;
         }
     }
 

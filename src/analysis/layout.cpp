@@ -69,113 +69,17 @@ private:
     }
 
     void collectTypesExpr(const Expr& e) {
-        switch (e.kind) {
-        case ExprKind::NewArray: {
-            const auto& n = as<NewArrayExpr>(e);
-            addTypes(Type::array(n.elem));
-            collectTypesExpr(*n.len);
-            return;
-        }
-        case ExprKind::Cast: {
-            const auto& n = as<CastExpr>(e);
-            addTypes(n.type);
-            collectTypesExpr(*n.e);
-            return;
-        }
-        case ExprKind::FieldGet: collectTypesExpr(*as<FieldGetExpr>(e).obj); return;
-        case ExprKind::ArrayGet: {
-            const auto& n = as<ArrayGetExpr>(e);
-            collectTypesExpr(*n.arr);
-            collectTypesExpr(*n.idx);
-            return;
-        }
-        case ExprKind::ArrayLen: collectTypesExpr(*as<ArrayLenExpr>(e).arr); return;
-        case ExprKind::Unary: collectTypesExpr(*as<UnaryExpr>(e).e); return;
-        case ExprKind::Binary: {
-            const auto& n = as<BinaryExpr>(e);
-            collectTypesExpr(*n.l);
-            collectTypesExpr(*n.r);
-            return;
-        }
-        case ExprKind::Cond: {
-            const auto& n = as<CondExpr>(e);
-            collectTypesExpr(*n.c);
-            collectTypesExpr(*n.t);
-            collectTypesExpr(*n.f);
-            return;
-        }
-        case ExprKind::Call: {
-            const auto& n = as<CallExpr>(e);
-            collectTypesExpr(*n.recv);
-            for (const auto& a : n.args) collectTypesExpr(*a);
-            return;
-        }
-        case ExprKind::StaticCall:
-            for (const auto& a : as<StaticCallExpr>(e).args) collectTypesExpr(*a);
-            return;
-        case ExprKind::New:
-            for (const auto& a : as<NewExpr>(e).args) collectTypesExpr(*a);
-            return;
-        case ExprKind::IntrinsicCall:
-            for (const auto& a : as<IntrinsicExpr>(e).args) collectTypesExpr(*a);
-            return;
-        default: return;
-        }
+        if (e.kind == ExprKind::NewArray) addTypes(Type::array(as<NewArrayExpr>(e).elem));
+        if (e.kind == ExprKind::Cast) addTypes(as<CastExpr>(e).type);
+        forEachChild(e, [this](const Expr& c) { collectTypesExpr(c); });
     }
 
     void collectTypesBlock(const Block& b) {
         for (const auto& s : b) {
-            switch (s->kind) {
-            case StmtKind::Decl: {
-                const auto& n = as<DeclStmt>(*s);
-                addTypes(n.type);
-                if (n.init) collectTypesExpr(*n.init);
-                break;
-            }
-            case StmtKind::AssignLocal: collectTypesExpr(*as<AssignLocalStmt>(*s).value); break;
-            case StmtKind::FieldSet: {
-                const auto& n = as<FieldSetStmt>(*s);
-                collectTypesExpr(*n.obj);
-                collectTypesExpr(*n.value);
-                break;
-            }
-            case StmtKind::ArraySet: {
-                const auto& n = as<ArraySetStmt>(*s);
-                collectTypesExpr(*n.arr);
-                collectTypesExpr(*n.idx);
-                collectTypesExpr(*n.value);
-                break;
-            }
-            case StmtKind::If: {
-                const auto& n = as<IfStmt>(*s);
-                collectTypesExpr(*n.cond);
-                collectTypesBlock(n.thenB);
-                collectTypesBlock(n.elseB);
-                break;
-            }
-            case StmtKind::While: {
-                const auto& n = as<WhileStmt>(*s);
-                collectTypesExpr(*n.cond);
-                collectTypesBlock(n.body);
-                break;
-            }
-            case StmtKind::For: {
-                const auto& n = as<ForStmt>(*s);
-                addTypes(n.varType);
-                collectTypesExpr(*n.init);
-                collectTypesExpr(*n.cond);
-                collectTypesExpr(*n.step);
-                collectTypesBlock(n.body);
-                break;
-            }
-            case StmtKind::Return:
-                if (as<ReturnStmt>(*s).value) collectTypesExpr(*as<ReturnStmt>(*s).value);
-                break;
-            case StmtKind::ExprStmt: collectTypesExpr(*as<ExprStmt>(*s).e); break;
-            case StmtKind::SuperCtor:
-                for (const auto& a : as<SuperCtorStmt>(*s).args) collectTypesExpr(*a);
-                break;
-            }
+            if (s->kind == StmtKind::Decl) addTypes(as<DeclStmt>(*s).type);
+            if (s->kind == StmtKind::For) addTypes(as<ForStmt>(*s).varType);
+            forEachChild(*s, [this](const Expr& e) { collectTypesExpr(e); },
+                         [this](const Block& sub) { collectTypesBlock(sub); });
         }
     }
 

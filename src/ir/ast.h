@@ -292,4 +292,119 @@ const T& as(const Stmt& s) {
     return static_cast<const T&>(s);
 }
 
+// ---------------------------------------------------------------- traversal
+//
+// The one home of "which operands does a node have, and in what order".
+// A pass that only decides something at a few kinds handles those and
+// sends the node here for the rest. Children come in source order (`recv`
+// before `args`, `arr` before `idx`, `init`/`cond`/`step` before `body`,
+// `thenB` before `elseB`); a null `DeclStmt::init` or `ReturnStmt::value`
+// is skipped. The switches have no `default:`, so -Wswitch names every
+// place a new kind must be enumerated. Callbacks are plain templates
+// (no std::function, no allocation): rules and analysis run these on every
+// jit().
+
+/// Calls `f(const Expr&)` on each direct operand of `e`.
+template <typename F>
+void forEachChild(const Expr& e, F&& f) {
+    switch (e.kind) {
+    case ExprKind::Const:
+    case ExprKind::Local:
+    case ExprKind::This:
+    case ExprKind::StaticGet: return;
+    case ExprKind::FieldGet: f(*as<FieldGetExpr>(e).obj); return;
+    case ExprKind::ArrayGet: {
+        const auto& n = as<ArrayGetExpr>(e);
+        f(*n.arr);
+        f(*n.idx);
+        return;
+    }
+    case ExprKind::ArrayLen: f(*as<ArrayLenExpr>(e).arr); return;
+    case ExprKind::Unary: f(*as<UnaryExpr>(e).e); return;
+    case ExprKind::Binary: {
+        const auto& n = as<BinaryExpr>(e);
+        f(*n.l);
+        f(*n.r);
+        return;
+    }
+    case ExprKind::Cond: {
+        const auto& n = as<CondExpr>(e);
+        f(*n.c);
+        f(*n.t);
+        f(*n.f);
+        return;
+    }
+    case ExprKind::Call: {
+        const auto& n = as<CallExpr>(e);
+        f(*n.recv);
+        for (const auto& a : n.args) f(*a);
+        return;
+    }
+    case ExprKind::StaticCall:
+        for (const auto& a : as<StaticCallExpr>(e).args) f(*a);
+        return;
+    case ExprKind::New:
+        for (const auto& a : as<NewExpr>(e).args) f(*a);
+        return;
+    case ExprKind::NewArray: f(*as<NewArrayExpr>(e).len); return;
+    case ExprKind::Cast: f(*as<CastExpr>(e).e); return;
+    case ExprKind::IntrinsicCall:
+        for (const auto& a : as<IntrinsicExpr>(e).args) f(*a);
+        return;
+    }
+}
+
+/// Calls `onExpr(const Expr&)` on each direct expression of `s` and
+/// `onBlock(const Block&)` on each nested block, interleaved in source order.
+template <typename FE, typename FB>
+void forEachChild(const Stmt& s, FE&& onExpr, FB&& onBlock) {
+    switch (s.kind) {
+    case StmtKind::Decl:
+        if (const auto& n = as<DeclStmt>(s); n.init) onExpr(*n.init);
+        return;
+    case StmtKind::AssignLocal: onExpr(*as<AssignLocalStmt>(s).value); return;
+    case StmtKind::FieldSet: {
+        const auto& n = as<FieldSetStmt>(s);
+        onExpr(*n.obj);
+        onExpr(*n.value);
+        return;
+    }
+    case StmtKind::ArraySet: {
+        const auto& n = as<ArraySetStmt>(s);
+        onExpr(*n.arr);
+        onExpr(*n.idx);
+        onExpr(*n.value);
+        return;
+    }
+    case StmtKind::If: {
+        const auto& n = as<IfStmt>(s);
+        onExpr(*n.cond);
+        onBlock(n.thenB);
+        onBlock(n.elseB);
+        return;
+    }
+    case StmtKind::While: {
+        const auto& n = as<WhileStmt>(s);
+        onExpr(*n.cond);
+        onBlock(n.body);
+        return;
+    }
+    case StmtKind::For: {
+        const auto& n = as<ForStmt>(s);
+        onExpr(*n.init);
+        onExpr(*n.cond);
+        onExpr(*n.step);
+        onBlock(n.body);
+        return;
+    }
+    case StmtKind::Return:
+        if (const auto& n = as<ReturnStmt>(s); n.value) onExpr(*n.value);
+        return;
+    case StmtKind::ExprStmt: onExpr(*as<ExprStmt>(s).e); return;
+    case StmtKind::SuperCtor:
+        for (const auto& a : as<SuperCtorStmt>(s).args) onExpr(*a);
+        return;
+    }
+}
+
 } // namespace wj

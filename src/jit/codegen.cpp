@@ -623,24 +623,11 @@ bool safeToHoist(const Expr& e) {
     case ExprKind::IntrinsicCall:
     case ExprKind::New:
     case ExprKind::NewArray: return false;
-    case ExprKind::FieldGet: return safeToHoist(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return safeToHoist(*n.arr) && safeToHoist(*n.idx);
+    default: break;
     }
-    case ExprKind::ArrayLen: return safeToHoist(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return safeToHoist(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return safeToHoist(*n.l) && safeToHoist(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return safeToHoist(*n.c) && safeToHoist(*n.t) && safeToHoist(*n.f);
-    }
-    case ExprKind::Cast: return safeToHoist(*as<CastExpr>(e).e);
-    default: return true;
-    }
+    bool safe = true;
+    forEachChild(e, [&](const Expr& c) { safe = safe && safeToHoist(c); });
+    return safe;
 }
 
 /// Expressions used as the array operand of an element access anywhere
@@ -648,108 +635,16 @@ bool safeToHoist(const Expr& e) {
 /// (locals and stable field-load chains like `this.cur`). Skipping a base
 /// here only forgoes its hoist, never correctness: unhoisted accesses keep
 /// the wj_array_data form.
-void arrayBasesExpr(const Expr& e, std::vector<const Expr*>& out);
-
-void arrayBasesBlock(const Block& b, std::vector<const Expr*>& out) {
-    for (const auto& stp : b) {
-        const Stmt& s = *stp;
-        switch (s.kind) {
-        case StmtKind::Decl:
-            if (as<DeclStmt>(s).init) arrayBasesExpr(*as<DeclStmt>(s).init, out);
-            break;
-        case StmtKind::AssignLocal: arrayBasesExpr(*as<AssignLocalStmt>(s).value, out); break;
-        case StmtKind::FieldSet: {
-            const auto& n = as<FieldSetStmt>(s);
-            arrayBasesExpr(*n.obj, out);
-            arrayBasesExpr(*n.value, out);
-            break;
-        }
-        case StmtKind::ArraySet: {
-            const auto& n = as<ArraySetStmt>(s);
-            out.push_back(n.arr.get());
-            arrayBasesExpr(*n.arr, out);
-            arrayBasesExpr(*n.idx, out);
-            arrayBasesExpr(*n.value, out);
-            break;
-        }
-        case StmtKind::If: {
-            const auto& n = as<IfStmt>(s);
-            arrayBasesExpr(*n.cond, out);
-            arrayBasesBlock(n.thenB, out);
-            arrayBasesBlock(n.elseB, out);
-            break;
-        }
-        case StmtKind::While: {
-            const auto& n = as<WhileStmt>(s);
-            arrayBasesExpr(*n.cond, out);
-            arrayBasesBlock(n.body, out);
-            break;
-        }
-        case StmtKind::For: {
-            const auto& n = as<ForStmt>(s);
-            arrayBasesExpr(*n.init, out);
-            arrayBasesExpr(*n.cond, out);
-            arrayBasesExpr(*n.step, out);
-            arrayBasesBlock(n.body, out);
-            break;
-        }
-        case StmtKind::Return:
-            if (as<ReturnStmt>(s).value) arrayBasesExpr(*as<ReturnStmt>(s).value, out);
-            break;
-        case StmtKind::ExprStmt: arrayBasesExpr(*as<ExprStmt>(s).e, out); break;
-        case StmtKind::SuperCtor:
-            for (const auto& a : as<SuperCtorStmt>(s).args) arrayBasesExpr(*a, out);
-            break;
-        }
-    }
+void arrayBasesExpr(const Expr& e, std::vector<const Expr*>& out) {
+    if (e.kind == ExprKind::ArrayGet) out.push_back(as<ArrayGetExpr>(e).arr.get());
+    forEachChild(e, [&](const Expr& c) { arrayBasesExpr(c, out); });
 }
 
-void arrayBasesExpr(const Expr& e, std::vector<const Expr*>& out) {
-    switch (e.kind) {
-    case ExprKind::Const:
-    case ExprKind::Local:
-    case ExprKind::This:
-    case ExprKind::StaticGet: return;
-    case ExprKind::FieldGet: arrayBasesExpr(*as<FieldGetExpr>(e).obj, out); return;
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        out.push_back(n.arr.get());
-        arrayBasesExpr(*n.arr, out);
-        arrayBasesExpr(*n.idx, out);
-        return;
-    }
-    case ExprKind::ArrayLen: arrayBasesExpr(*as<ArrayLenExpr>(e).arr, out); return;
-    case ExprKind::Unary: arrayBasesExpr(*as<UnaryExpr>(e).e, out); return;
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        arrayBasesExpr(*n.l, out);
-        arrayBasesExpr(*n.r, out);
-        return;
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        arrayBasesExpr(*n.c, out);
-        arrayBasesExpr(*n.t, out);
-        arrayBasesExpr(*n.f, out);
-        return;
-    }
-    case ExprKind::Cast: arrayBasesExpr(*as<CastExpr>(e).e, out); return;
-    case ExprKind::New:
-        for (const auto& a : as<NewExpr>(e).args) arrayBasesExpr(*a, out);
-        return;
-    case ExprKind::NewArray: arrayBasesExpr(*as<NewArrayExpr>(e).len, out); return;
-    case ExprKind::IntrinsicCall:
-        for (const auto& a : as<IntrinsicExpr>(e).args) arrayBasesExpr(*a, out);
-        return;
-    case ExprKind::Call: {
-        const auto& n = as<CallExpr>(e);
-        arrayBasesExpr(*n.recv, out);
-        for (const auto& a : n.args) arrayBasesExpr(*a, out);
-        return;
-    }
-    case ExprKind::StaticCall:
-        for (const auto& a : as<StaticCallExpr>(e).args) arrayBasesExpr(*a, out);
-        return;
+void arrayBasesBlock(const Block& b, std::vector<const Expr*>& out) {
+    for (const auto& s : b) {
+        if (s->kind == StmtKind::ArraySet) out.push_back(as<ArraySetStmt>(*s).arr.get());
+        forEachChild(*s, [&](const Expr& e) { arrayBasesExpr(e, out); },
+                     [&](const Block& sub) { arrayBasesBlock(sub, out); });
     }
 }
 

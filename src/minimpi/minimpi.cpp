@@ -27,6 +27,25 @@ constexpr int kDefaultWatchdogMs = 30000;
 
 int watchdogDefaultMs() { return static_cast<int>(envInt("WJ_WATCHDOG_MS", kDefaultWatchdogMs)); }
 
+/// Takes the matching message off `channel`, checks that it carries exactly
+/// `bytes`, copies it into `buf` and hands the buffer back to the transport.
+/// `what` names the operation in the size-mismatch error; `span` (if any)
+/// gets the resolved source. Returns the actual source rank.
+int takeInto(Transport& t, int me, void* buf, size_t bytes, int src, int tag, int channel,
+             int timeoutMs, const char* what, trace::Span* span) {
+    Message msg = t.take(me, src, tag, channel, timeoutMs);
+    if (span) span->arg(0, "peer", msg.src);  // resolve ANY to the actual source
+    if (msg.data.size() != bytes) {
+        throw ExecError(format(
+            "MPI %s size mismatch at rank %d (src %d, tag %d, transport=%s): expected %zu "
+            "bytes, got %zu",
+            what, me, msg.src, tag, t.kind(), bytes, msg.data.size()));
+    }
+    std::memcpy(buf, msg.data.data(), bytes);
+    t.recycle(std::move(msg.data));
+    return msg.src;
+}
+
 } // namespace
 
 TransportKind defaultTransportKind() {
@@ -111,17 +130,7 @@ int Comm::recv(void* buf, size_t bytes, int src, int tag) {
     trace::Span span("comm", "recv", "peer", src, "tag", tag,
                      "bytes", static_cast<int64_t>(bytes));
     faultHook();
-    Message msg = world_->transport_->take(rank_, src, tag, 0, -1);
-    span.arg(0, "peer", msg.src);  // resolve ANY to the actual source
-    if (msg.data.size() != bytes) {
-        throw ExecError(format(
-            "MPI recv size mismatch at rank %d (src %d, tag %d, transport=%s): expected %zu "
-            "bytes, got %zu",
-            rank_, msg.src, tag, world_->transportName(), bytes, msg.data.size()));
-    }
-    std::memcpy(buf, msg.data.data(), bytes);
-    world_->transport_->recycle(std::move(msg.data));
-    return msg.src;
+    return takeInto(*world_->transport_, rank_, buf, bytes, src, tag, 0, -1, "recv", &span);
 }
 
 int Comm::recvTimeout(void* buf, size_t bytes, int src, int tag, int timeoutMs) {
@@ -129,28 +138,13 @@ int Comm::recvTimeout(void* buf, size_t bytes, int src, int tag, int timeoutMs) 
     trace::Span span("comm", "recvTimeout", "peer", src, "tag", tag,
                      "bytes", static_cast<int64_t>(bytes));
     faultHook();
-    Message msg = world_->transport_->take(rank_, src, tag, 0, timeoutMs);
-    span.arg(0, "peer", msg.src);
-    if (msg.data.size() != bytes) {
-        throw ExecError(format(
-            "MPI recv size mismatch at rank %d (src %d, tag %d, transport=%s): expected %zu "
-            "bytes, got %zu",
-            rank_, msg.src, tag, world_->transportName(), bytes, msg.data.size()));
-    }
-    std::memcpy(buf, msg.data.data(), bytes);
-    world_->transport_->recycle(std::move(msg.data));
-    return msg.src;
+    return takeInto(*world_->transport_, rank_, buf, bytes, src, tag, 0, timeoutMs, "recv",
+                    &span);
 }
 
 int Comm::sendrecv(const void* sbuf, size_t sbytes, int dest,
                    void* rbuf, size_t rbytes, int src, int tag) {
     send(sbuf, sbytes, dest, tag);
-    return recv(rbuf, rbytes, src, tag);
-}
-
-int Comm::sendrecv(std::vector<uint8_t>&& sbuf, int dest,
-                   void* rbuf, size_t rbytes, int src, int tag) {
-    send(std::move(sbuf), dest, tag);
     return recv(rbuf, rbytes, src, tag);
 }
 
@@ -177,15 +171,7 @@ void sendSys(Transport& t, int me, const void* buf, size_t bytes, int dest, int 
 }
 
 void recvSys(Transport& t, int me, void* buf, size_t bytes, int src, int tag) {
-    Message msg = t.take(me, src, tag, 1, -1);
-    if (msg.data.size() != bytes) {
-        throw ExecError(format(
-            "MPI collective size mismatch at rank %d (src %d, tag %d, transport=%s): expected "
-            "%zu bytes, got %zu",
-            me, msg.src, tag, t.kind(), bytes, msg.data.size()));
-    }
-    std::memcpy(buf, msg.data.data(), bytes);
-    t.recycle(std::move(msg.data));
+    takeInto(t, me, buf, bytes, src, tag, 1, -1, "collective", nullptr);
 }
 
 } // namespace

@@ -82,11 +82,6 @@ public:
     int sendrecv(const void* sbuf, size_t sbytes, int dest,
                  void* rbuf, size_t rbytes, int src, int tag);
 
-    /// Combined exchange posting the send as a move (zero-copy) when the
-    /// caller hands over an rvalue buffer.
-    int sendrecv(std::vector<uint8_t>&& sbuf, int dest,
-                 void* rbuf, size_t rbytes, int src, int tag);
-
     /// Collective barrier over all ranks.
     void barrier();
 

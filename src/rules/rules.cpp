@@ -85,45 +85,11 @@ bool TypeProperties::semiImmutableType(const Type& t, std::string* why) {
 namespace {
 
 /// True if `e` contains a ThisExpr anywhere.
-bool usesThis(const Expr& e);
-
-bool anyArg(const std::vector<ExprPtr>& args, bool (*pred)(const Expr&)) {
-    for (const auto& a : args) {
-        if (pred(*a)) return true;
-    }
-    return false;
-}
-
 bool usesThis(const Expr& e) {
-    switch (e.kind) {
-    case ExprKind::This: return true;
-    case ExprKind::Const: case ExprKind::Local: case ExprKind::StaticGet: return false;
-    case ExprKind::FieldGet: return usesThis(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return usesThis(*n.arr) || usesThis(*n.idx);
-    }
-    case ExprKind::ArrayLen: return usesThis(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return usesThis(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return usesThis(*n.l) || usesThis(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return usesThis(*n.c) || usesThis(*n.t) || usesThis(*n.f);
-    }
-    case ExprKind::Call: {
-        const auto& n = as<CallExpr>(e);
-        return usesThis(*n.recv) || anyArg(n.args, usesThis);
-    }
-    case ExprKind::StaticCall: return anyArg(as<StaticCallExpr>(e).args, usesThis);
-    case ExprKind::New: return anyArg(as<NewExpr>(e).args, usesThis);
-    case ExprKind::NewArray: return usesThis(*as<NewArrayExpr>(e).len);
-    case ExprKind::Cast: return usesThis(*as<CastExpr>(e).e);
-    case ExprKind::IntrinsicCall: return anyArg(as<IntrinsicExpr>(e).args, usesThis);
-    }
-    return false;
+    if (e.kind == ExprKind::This) return true;
+    bool uses = false;
+    forEachChild(e, [&](const Expr& c) { uses = uses || usesThis(c); });
+    return uses;
 }
 
 /// True if `e` contains any call (method, static, or intrinsic).
@@ -131,29 +97,11 @@ bool containsCall(const Expr& e) {
     switch (e.kind) {
     case ExprKind::Call: case ExprKind::StaticCall: case ExprKind::IntrinsicCall:
         return true;
-    case ExprKind::Const: case ExprKind::Local: case ExprKind::This:
-    case ExprKind::StaticGet:
-        return false;
-    case ExprKind::FieldGet: return containsCall(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return containsCall(*n.arr) || containsCall(*n.idx);
+    default: break;
     }
-    case ExprKind::ArrayLen: return containsCall(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return containsCall(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return containsCall(*n.l) || containsCall(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return containsCall(*n.c) || containsCall(*n.t) || containsCall(*n.f);
-    }
-    case ExprKind::New: return anyArg(as<NewExpr>(e).args, containsCall);
-    case ExprKind::NewArray: return containsCall(*as<NewArrayExpr>(e).len);
-    case ExprKind::Cast: return containsCall(*as<CastExpr>(e).e);
-    }
-    return false;
+    bool calls = false;
+    forEachChild(e, [&](const Expr& c) { calls = calls || containsCall(c); });
+    return calls;
 }
 
 /// Constructor restrictions of semi-immutable definition 3(d): straight-line
@@ -449,24 +397,6 @@ private:
 
     void checkExpr(TypeScope& s, const Expr& e, const std::string& where) {
         switch (e.kind) {
-        case ExprKind::Const: case ExprKind::Local: case ExprKind::This:
-        case ExprKind::StaticGet:
-            return;
-        case ExprKind::FieldGet:
-            checkExpr(s, *as<FieldGetExpr>(e).obj, where);
-            return;
-        case ExprKind::ArrayGet: {
-            const auto& n = as<ArrayGetExpr>(e);
-            checkExpr(s, *n.arr, where);
-            checkExpr(s, *n.idx, where);
-            return;
-        }
-        case ExprKind::ArrayLen:
-            checkExpr(s, *as<ArrayLenExpr>(e).arr, where);
-            return;
-        case ExprKind::Unary:
-            checkExpr(s, *as<UnaryExpr>(e).e, where);
-            return;
         case ExprKind::Binary: {
             const auto& n = as<BinaryExpr>(e);
             if (n.op == BinOp::Eq || n.op == BinOp::Ne) {
@@ -476,53 +406,21 @@ private:
                                                 std::string(binOpName(n.op)) + ") on " + lt.str());
                 }
             }
-            checkExpr(s, *n.l, where);
-            checkExpr(s, *n.r, where);
-            return;
+            break;
         }
-        case ExprKind::Cond: {
-            const auto& n = as<CondExpr>(e);
-            report("rule-7", where, "conditional operator (?:)");
-            checkExpr(s, *n.c, where);
-            checkExpr(s, *n.t, where);
-            checkExpr(s, *n.f, where);
-            return;
-        }
-        case ExprKind::Call: {
-            const auto& n = as<CallExpr>(e);
-            checkExpr(s, *n.recv, where);
-            for (const auto& a : n.args) checkExpr(s, *a, where);
-            return;
-        }
-        case ExprKind::StaticCall: {
-            const auto& n = as<StaticCallExpr>(e);
-            for (const auto& a : n.args) checkExpr(s, *a, where);
-            return;
-        }
-        case ExprKind::New: {
-            const auto& n = as<NewExpr>(e);
-            requireSemiImmutable(Type::cls(n.cls), where);
-            for (const auto& a : n.args) checkExpr(s, *a, where);
-            return;
-        }
-        case ExprKind::NewArray: {
-            const auto& n = as<NewArrayExpr>(e);
-            requireStrictFinal(n.elem, where, "array element");
-            checkExpr(s, *n.len, where);
-            return;
-        }
+        case ExprKind::Cond: report("rule-7", where, "conditional operator (?:)"); break;
+        case ExprKind::New: requireSemiImmutable(Type::cls(as<NewExpr>(e).cls), where); break;
+        case ExprKind::NewArray:
+            requireStrictFinal(as<NewArrayExpr>(e).elem, where, "array element");
+            break;
         case ExprKind::Cast: {
             const auto& n = as<CastExpr>(e);
             if (n.type.isClass()) requireStrictFinal(n.type, where, "cast");
-            checkExpr(s, *n.e, where);
-            return;
+            break;
         }
-        case ExprKind::IntrinsicCall: {
-            const auto& n = as<IntrinsicExpr>(e);
-            for (const auto& a : n.args) checkExpr(s, *a, where);
-            return;
+        default: break;
         }
-        }
+        forEachChild(e, [&](const Expr& c) { checkExpr(s, c, where); });
     }
 
     // ---- rule 6: the static call graph over @WootinJ methods is acyclic.

@@ -610,11 +610,6 @@ void Daemon::start() {
     // One parse of the translation switches serves every request.
     d.translateOpts = TranslateOptions::fromEnv();
 
-    // Worker threads race their eviction sweeps against each other's
-    // publishes; the grace window makes that safe (see jit/cache.h). Only
-    // a default — an explicit setting (tests) wins.
-    ::setenv("WJ_CACHE_EVICT_GRACE_MS", "10000", /*overwrite=*/0);
-
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, d.opts.socketPath.c_str(), sizeof(addr.sun_path) - 1);

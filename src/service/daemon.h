@@ -33,10 +33,13 @@
 // warms the cache either way), the response write fails silently, and the
 // in-flight entry is reaped normally.
 //
-// Unless the caller set it, the daemon exports WJ_CACHE_EVICT_GRACE_MS=10000
-// at start: concurrent eviction sweeps from N worker threads must never
-// unlink an artifact another request just published but has not yet
-// reported to its client.
+// Concurrent eviction sweeps from N worker threads must never unlink an
+// artifact another request just published but has not yet reported to its
+// client, so a process hosting a daemon should set a cache eviction grace
+// window (WJ_CACHE_EVICT_GRACE_MS, see jit/cache.h) before it starts any
+// thread; wjd and bench_wjd_load default it to 10000 ms in main(). The
+// daemon itself never writes the environment: other threads of the host
+// process may be reading it.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,9 @@
 #   * the pool reads WJ_THREADS in one place (src/runtime/threadpool.cpp),
 #     and ThreadPool::parallelFor reads no environment at all;
 #   * nothing under src/analysis/ and neither src/jit/codegen.cpp calls getenv;
+#   * nothing under src/ calls setenv or putenv: the library never writes the
+#     environment that other threads may be reading (edges set defaults in
+#     main() before any thread starts);
 #   * tools/, bench/ and examples/ pass those five settings down as values
 #     instead of setenv'ing them.
 #
@@ -25,6 +28,10 @@ foreach(f ${src_files})
   file(STRINGS "${f}" hits REGEX "\"WJ_THREADS\"")
   if(hits AND NOT rel STREQUAL "src/runtime/threadpool.cpp")
     list(APPEND problems "${rel} reads WJ_THREADS: ${hits}")
+  endif()
+  file(STRINGS "${f}" hits REGEX "(^|[^a-z_])(setenv|putenv)\\([^)]")
+  if(hits)
+    list(APPEND problems "${rel} writes the environment: ${hits}")
   endif()
   if(rel MATCHES "^src/analysis/" OR rel STREQUAL "src/jit/codegen.cpp")
     file(STRINGS "${f}" hits REGEX "getenv")

@@ -1,6 +1,9 @@
 // Unit tests for the WJ IR: types, builder, program validation, printer,
-// and the type checker.
+// the type checker, and the child enumerator (forEachChild).
 #include <gtest/gtest.h>
+
+#include <set>
+#include <vector>
 
 #include "ir/builder.h"
 #include "ir/printer.h"
@@ -362,4 +365,117 @@ TEST(Intrinsics, TableIsConsistent) {
     }
     EXPECT_EQ(std::string("MPI.rank"), intrinsicSig(Intrinsic::MpiRank).name);
     EXPECT_EQ(std::string("cuda.syncthreads"), intrinsicSig(Intrinsic::CudaSyncThreads).name);
+}
+
+// ------------------------------------------------------------- traversal
+
+TEST(IrChildren, EveryKindEnumeratesItsOperandsInSourceOrder) {
+    using Ptrs = std::vector<const void*>;
+    std::set<ExprKind> exprKinds;
+    std::set<StmtKind> stmtKinds;
+    auto kids = [&](const Expr& e) {
+        exprKinds.insert(e.kind);
+        Ptrs out;
+        forEachChild(e, [&](const Expr& c) { out.push_back(&c); });
+        return out;
+    };
+    auto stmtKids = [&](const Stmt& s) {
+        stmtKinds.insert(s.kind);
+        Ptrs out;
+        forEachChild(s, [&](const Expr& c) { out.push_back(&c); },
+                     [&](const Block& b) { out.push_back(&b); });
+        return out;
+    };
+
+    // ---- expressions: leaves have no operands.
+    for (const ExprPtr& leaf : exprVec(ci(1), lv("x"), self(), sget("C", "K"))) {
+        EXPECT_EQ(Ptrs{}, kids(*leaf));
+    }
+    ExprPtr e = getf(lv("o"), "f");
+    EXPECT_EQ(Ptrs{as<FieldGetExpr>(*e).obj.get()}, kids(*e));
+    e = aget(lv("a"), lv("i"));
+    EXPECT_EQ((Ptrs{as<ArrayGetExpr>(*e).arr.get(), as<ArrayGetExpr>(*e).idx.get()}), kids(*e));
+    e = alen(lv("a"));
+    EXPECT_EQ(Ptrs{as<ArrayLenExpr>(*e).arr.get()}, kids(*e));
+    e = neg(lv("x"));
+    EXPECT_EQ(Ptrs{as<UnaryExpr>(*e).e.get()}, kids(*e));
+    e = add(lv("a"), lv("b"));
+    EXPECT_EQ((Ptrs{as<BinaryExpr>(*e).l.get(), as<BinaryExpr>(*e).r.get()}), kids(*e));
+    e = ternary(cb(true), ci(1), ci(2));
+    {
+        const auto& n = as<CondExpr>(*e);
+        EXPECT_EQ((Ptrs{n.c.get(), n.t.get(), n.f.get()}), kids(*e));
+    }
+    e = call(lv("o"), "m", lv("a"), lv("b"));
+    {
+        const auto& n = as<CallExpr>(*e);
+        EXPECT_EQ((Ptrs{n.recv.get(), n.args[0].get(), n.args[1].get()}), kids(*e));
+    }
+    e = scall("C", "m", lv("a"), lv("b"));
+    {
+        const auto& n = as<StaticCallExpr>(*e);
+        EXPECT_EQ((Ptrs{n.args[0].get(), n.args[1].get()}), kids(*e));
+    }
+    e = newObj("C", lv("a"), lv("b"));
+    {
+        const auto& n = as<NewExpr>(*e);
+        EXPECT_EQ((Ptrs{n.args[0].get(), n.args[1].get()}), kids(*e));
+    }
+    e = newArr(Type::f32(), lv("n"));
+    EXPECT_EQ(Ptrs{as<NewArrayExpr>(*e).len.get()}, kids(*e));
+    e = cast(Type::f64(), lv("x"));
+    EXPECT_EQ(Ptrs{as<CastExpr>(*e).e.get()}, kids(*e));
+    e = intr(Intrinsic::MpiSendF32, lv("b"), ci(0), ci(4), ci(1), ci(7));
+    {
+        const auto& n = as<IntrinsicExpr>(*e);
+        Ptrs want;
+        for (const auto& a : n.args) want.push_back(a.get());
+        EXPECT_EQ(want, kids(*e));
+    }
+    EXPECT_EQ(16u, exprKinds.size()) << "an ExprKind has no case in this test";
+
+    // ---- statements: direct expressions and nested blocks, not their contents.
+    StmtPtr s = decl("x", Type::i32(), ci(1));
+    EXPECT_EQ(Ptrs{as<DeclStmt>(*s).init.get()}, stmtKids(*s));
+    s = declUninit("x", Type::i32());
+    EXPECT_EQ(Ptrs{}, stmtKids(*s));
+    s = assign("x", ci(1));
+    EXPECT_EQ(Ptrs{as<AssignLocalStmt>(*s).value.get()}, stmtKids(*s));
+    s = setf(lv("o"), "f", ci(1));
+    {
+        const auto& n = as<FieldSetStmt>(*s);
+        EXPECT_EQ((Ptrs{n.obj.get(), n.value.get()}), stmtKids(*s));
+    }
+    s = aset(lv("a"), lv("i"), ci(1));
+    {
+        const auto& n = as<ArraySetStmt>(*s);
+        EXPECT_EQ((Ptrs{n.arr.get(), n.idx.get(), n.value.get()}), stmtKids(*s));
+    }
+    s = ifs(cb(true), blk(exprS(lv("x"))), blk(retVoid()));
+    {
+        const auto& n = as<IfStmt>(*s);
+        EXPECT_EQ((Ptrs{n.cond.get(), &n.thenB, &n.elseB}), stmtKids(*s));
+    }
+    s = whileS(cb(true), blk(exprS(lv("x"))));
+    {
+        const auto& n = as<WhileStmt>(*s);
+        EXPECT_EQ((Ptrs{n.cond.get(), &n.body}), stmtKids(*s));
+    }
+    s = forI32("i", ci(0), lt(lv("i"), ci(9)), add(lv("i"), ci(1)), blk(exprS(lv("i"))));
+    {
+        const auto& n = as<ForStmt>(*s);
+        EXPECT_EQ((Ptrs{n.init.get(), n.cond.get(), n.step.get(), &n.body}), stmtKids(*s));
+    }
+    s = ret(ci(1));
+    EXPECT_EQ(Ptrs{as<ReturnStmt>(*s).value.get()}, stmtKids(*s));
+    s = retVoid();
+    EXPECT_EQ(Ptrs{}, stmtKids(*s));
+    s = exprS(call(lv("o"), "m"));
+    EXPECT_EQ(Ptrs{as<ExprStmt>(*s).e.get()}, stmtKids(*s));
+    s = superCtor(lv("a"), lv("b"));
+    {
+        const auto& n = as<SuperCtorStmt>(*s);
+        EXPECT_EQ((Ptrs{n.args[0].get(), n.args[1].get()}), stmtKids(*s));
+    }
+    EXPECT_EQ(10u, stmtKinds.size()) << "a StmtKind has no case in this test";
 }

@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -372,6 +374,38 @@ TEST(MiniMpi, SizeMismatchDiagnosticsNameBothEnds) {
         EXPECT_NE(msg.find("tag 7"), std::string::npos) << msg;
         EXPECT_NE(msg.find("expected 8 bytes, got 4"), std::string::npos) << msg;
     }
+
+    // recv, recvTimeout and the collectives share one take-check-copy path;
+    // each keeps its own wording, byte for byte.
+    auto errorOf = [&w](const std::function<void(Comm&)>& fn) {
+        try {
+            w.run(fn);
+        } catch (const ExecError& e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    const std::string transport = w.transportName();
+    const std::string recvMsg = "MPI recv size mismatch at rank 1 (src 0, tag 7, transport=" +
+                                transport + "): expected 8 bytes, got 4";
+    for (bool timed : {false, true}) {
+        const std::string msg = errorOf([timed](Comm& c) {
+            const int v = 0;
+            double got;
+            if (c.rank() == 0) c.send(&v, sizeof v, 1, 7);
+            else if (timed) c.recvTimeout(&got, sizeof got, 0, 7, 10000);
+            else c.recv(&got, sizeof got, 0, 7);
+        });
+        EXPECT_NE(msg.find(recvMsg), std::string::npos) << msg;
+    }
+    const std::string bcastMsg =
+        "MPI collective size mismatch at rank 1 (src 0, tag 1, transport=" + transport +
+        "): expected 4 bytes, got 8";
+    const std::string msg = errorOf([](Comm& c) {
+        double d = 0;
+        c.bcast(&d, c.rank() == 0 ? sizeof d : sizeof(float), 0);  // rank 1 expects less
+    });
+    EXPECT_NE(msg.find(bcastMsg), std::string::npos) << msg;
 }
 
 TEST(MiniMpi, AnySourceDeliveryIsFifoPerSender) {

@@ -10,8 +10,10 @@
 //
 // Environment: WJD_WORKERS / WJD_MAX_INFLIGHT / WJD_QUEUE_CAP are the
 // flag defaults; the compile pipeline honors the usual WJ_CC, WJ_CFLAGS,
-// WJ_CACHE_DIR, WJ_JIT_RETRIES, WJ_JIT_BACKOFF_MS, WJ_FAULT. The daemon
-// exports WJ_CACHE_EVICT_GRACE_MS=10000 unless already set.
+// WJ_CACHE_DIR, WJ_JIT_RETRIES, WJ_JIT_BACKOFF_MS, WJ_FAULT.
+// WJ_CACHE_EVICT_GRACE_MS defaults to 10000 here (set before any thread
+// starts) so concurrent eviction sweeps never unlink an artifact a worker
+// just published; an explicit setting wins.
 //
 // Exit codes: 0 clean drain, 2 usage error.
 #include <cstdio>
@@ -36,6 +38,7 @@ int usage() {
 } // namespace
 
 int main(int argc, char** argv) {
+    ::setenv("WJ_CACHE_EVICT_GRACE_MS", "10000", /*overwrite=*/0);
     service::DaemonOptions opts;
     try {
         for (int i = 1; i < argc; ++i) {
