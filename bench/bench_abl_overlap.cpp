@@ -120,16 +120,12 @@ int main(int argc, char** argv) {
     std::printf("real run on %d ranks: sync %.6f, overlapped %.6f -> %s\n", ranks, a, b,
                 a == b ? "bit-identical" : "MISMATCH");
 
-    // Real traffic, from MiniMPI's accounting: how much of the halo volume
-    // actually crossed through a memcpy vs the pooled / zero-copy paths.
+    // Real traffic, from MiniMPI's accounting (collective internals
+    // included).
     const auto traffic = [](const char* name, const JitCode& code) {
         const auto st = code.commStats();
-        std::printf("%-10s traffic: %lld msgs, %lld B total, %lld B pooled, "
-                    "%lld B zero-copy, %lld B copied\n",
-                    name, static_cast<long long>(st.messages),
-                    static_cast<long long>(st.bytes), static_cast<long long>(st.pooledBytes),
-                    static_cast<long long>(st.zeroCopyBytes),
-                    static_cast<long long>(st.copiedBytes()));
+        std::printf("%-10s traffic: %lld msgs, %lld B\n", name,
+                    static_cast<long long>(st.messages), static_cast<long long>(st.bytes));
     };
     traffic("sync", cs);
     traffic("overlapped", co);

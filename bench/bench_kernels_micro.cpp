@@ -144,13 +144,11 @@ void BM_MatmulWootinJ(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulWootinJ)->Arg(64)->Arg(128);
 
-// MiniMPI message path: buffered copy vs the large-message fast paths.
-// Below kPooledThreshold (256 B) a send is one plain vector copy; at or
-// above it the payload travels in a recycled pool buffer; the move overload
-// hands the caller's vector straight to the mailbox with no payload copy.
-// Rank 0 streams kMsgs messages to rank 1 per world.run (both rows pay the
-// same 2-thread spawn, so the per-byte difference is the transport's).
-void miniMpiSendRow(benchmark::State& state, bool moveSend) {
+// MiniMPI message path: each send copies the payload once into a message
+// that is moved into the receiver's mailbox, and recv copies it out once.
+// Rank 0 streams kMsgs messages to rank 1 per world.run (every size pays
+// the same 2-thread spawn, so the per-byte difference is the transport's).
+void BM_MiniMpiSendCopy(benchmark::State& state) {
     const size_t bytes = static_cast<size_t>(state.range(0));
     constexpr int kMsgs = 32;
     minimpi::World world(2);
@@ -158,32 +156,15 @@ void miniMpiSendRow(benchmark::State& state, bool moveSend) {
         world.run([&](minimpi::Comm& c) {
             std::vector<uint8_t> buf(bytes, static_cast<uint8_t>(1));
             if (c.rank() == 0) {
-                for (int m = 0; m < kMsgs; ++m) {
-                    if (moveSend) {
-                        // Fill a fresh buffer and hand it over: the payload
-                        // is produced once and never copied again.
-                        std::vector<uint8_t> out(bytes, static_cast<uint8_t>(1));
-                        c.send(std::move(out), 1, m);
-                    } else {
-                        c.send(buf.data(), bytes, 1, m);
-                    }
-                }
+                for (int m = 0; m < kMsgs; ++m) c.send(buf.data(), bytes, 1, m);
             } else {
                 for (int m = 0; m < kMsgs; ++m) c.recv(buf.data(), bytes, 0, m);
             }
         });
     }
-    const auto s = world.stats();
-    state.counters["pooled_msgs"] = static_cast<double>(s.pooledMessages);
-    state.counters["zerocopy_msgs"] = static_cast<double>(s.zeroCopyMessages);
     state.SetBytesProcessed(state.iterations() * kMsgs * static_cast<int64_t>(bytes));
 }
-
-void BM_MiniMpiSendCopy(benchmark::State& state) { miniMpiSendRow(state, false); }
 BENCHMARK(BM_MiniMpiSendCopy)->Arg(128)->Arg(4096)->Arg(65536);
-
-void BM_MiniMpiSendMove(benchmark::State& state) { miniMpiSendRow(state, true); }
-BENCHMARK(BM_MiniMpiSendMove)->Arg(4096)->Arg(65536);
 
 void BM_GpuSimDiffusionKernel(benchmark::State& state) {
     static Program prog = stencil::buildProgram();

@@ -183,28 +183,34 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag)
     }
 
     auto mod = std::shared_ptr<NativeModule>(new NativeModule());
-    const std::string cachedSo = cache.lookup(key);
-    if (!cachedSo.empty()) {
+    // Adopts a published artifact as this key's loaded module (`how` tags
+    // its command line). A truncated or stale entry (e.g. written by a
+    // crashed process on a filesystem without atomic rename) is dropped
+    // instead and false returned: the caller goes on to compile.
+    auto adopt = [&](const std::string& so, const char* how) {
         trace::Span dlopenSpan("jit", "dlopen");
-        mod->handle_ = dlopen(cachedSo.c_str(), RTLD_NOW | RTLD_LOCAL);
-        if (mod->handle_) {
-            diskHits.inc();
-            lookupSpan.arg(0, "hit", 1);
-            mod->command_ = format("(cached) %s %s [key %016llx]", cc.c_str(), flags.c_str(),
-                                   static_cast<unsigned long long>(key));
-            mod->loadedPath_ = cachedSo;
-            cache.registerLoaded(key, mod);
-            res.module = std::move(mod);
-            res.cacheHit = true;
-            res.lookupSeconds = lookupT.seconds();
-            cache.noteDiskHit(res.lookupSeconds);
-            return res;
+        mod->handle_ = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
+        if (!mod->handle_) {
+            cache.noteCorrupt();
+            corrupt.inc();
+            cache.invalidate(key);
+            return false;
         }
-        // A truncated or stale entry (e.g. written by a crashed process on
-        // a filesystem without atomic rename): drop it and recompile.
-        cache.noteCorrupt();
-        corrupt.inc();
-        cache.invalidate(key);
+        diskHits.inc();
+        mod->command_ = format("(%s) %s %s [key %016llx]", how, cc.c_str(), flags.c_str(),
+                               static_cast<unsigned long long>(key));
+        mod->loadedPath_ = so;
+        cache.registerLoaded(key, mod);
+        res.module = std::move(mod);
+        res.cacheHit = true;
+        return true;
+    };
+    if (const std::string cachedSo = cache.lookup(key);
+        !cachedSo.empty() && adopt(cachedSo, "cached")) {
+        lookupSpan.arg(0, "hit", 1);
+        res.lookupSeconds = lookupT.seconds();
+        cache.noteDiskHit(res.lookupSeconds);
+        return res;
     }
     res.lookupSeconds = lookupT.seconds();
     lookupSpan.arg(0, "hit", 0);
@@ -228,28 +234,14 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag)
     // the claim only after a leader came and went (Acquired on retry), the
     // artifact may exist by now — serve it instead of compiling again.
     if (buildLock.state() != JitCache::BuildLock::State::Skipped) {
-        if (const std::string joinedSo = cache.lookup(key); !joinedSo.empty()) {
-            trace::Span dlopenSpan("jit", "dlopen");
-            mod->handle_ = dlopen(joinedSo.c_str(), RTLD_NOW | RTLD_LOCAL);
-            if (mod->handle_) {
-                buildLock.release();
-                static auto& xjoins =
-                    trace::Metrics::instance().counter("jit.cache.joins.crossproc");
-                xjoins.inc();
-                cache.noteCrossJoin();
-                cache.noteDiskHit(0);
-                diskHits.inc();
-                mod->command_ = format("(joined) %s %s [key %016llx]", cc.c_str(),
-                                       flags.c_str(), static_cast<unsigned long long>(key));
-                mod->loadedPath_ = joinedSo;
-                cache.registerLoaded(key, mod);
-                res.module = std::move(mod);
-                res.cacheHit = true;
-                return res;
-            }
-            cache.noteCorrupt();
-            corrupt.inc();
-            cache.invalidate(key);
+        if (const std::string joinedSo = cache.lookup(key);
+            !joinedSo.empty() && adopt(joinedSo, "joined")) {
+            buildLock.release();
+            static auto& xjoins = trace::Metrics::instance().counter("jit.cache.joins.crossproc");
+            xjoins.inc();
+            cache.noteCrossJoin();
+            cache.noteDiskHit(0);
+            return res;
         }
     }
     cache.noteMiss(res.lookupSeconds);

@@ -71,9 +71,17 @@ void unmarshalArray(const wj_array* in, Arr& a) {
     }
 }
 
-/// True unless WJ_JIT_FALLBACK is off: when the external C compiler is
-/// unavailable, degrade to the interpreter instead of failing.
-bool fallbackEnabled() { return envFlag("WJ_JIT_FALLBACK", true); }
+/// Called when the external C compiler is unavailable. Unless
+/// WJ_JIT_FALLBACK is off, records the degradation to the interpreter
+/// (counter + trace instant) and returns true; false means the caller
+/// rethrows. Shared by jit() and the async pipeline.
+bool degradeToInterpreter() {
+    if (!envFlag("WJ_JIT_FALLBACK", true)) return false;
+    static auto& fallbacks = trace::Metrics::instance().counter("jit.fallbacks.interpreter");
+    fallbacks.inc();
+    trace::instant("jit", "fallback.interpreter");
+    return true;
+}
 
 /// Deep copy of a value graph (objects, arrays, primitives). The
 /// interpreter fallback runs on copies so the paper's no-copy-back
@@ -168,11 +176,7 @@ JitCode::JitCode(const Program& prog, Value receiver, std::string method, std::v
                                     : "compile");
         compile_ = compileAndLoad(translation_.cSource, method_);
     } catch (const CompilerUnavailableError&) {
-        if (!fallbackEnabled()) throw;
-        static auto& fallbacks =
-            trace::Metrics::instance().counter("jit.fallbacks.interpreter");
-        fallbacks.inc();
-        trace::instant("jit", "fallback.interpreter");
+        if (!degradeToInterpreter()) throw;
         mode_ = ExecMode::Interpreter;
         return;
     }
@@ -411,7 +415,7 @@ std::future<JitCode> WootinJ::jitAsyncImpl(const Program& prog, Value receiver,
             try {
                 compiled = modFut.get();
             } catch (const CompilerUnavailableError&) {
-                if (!fallbackEnabled()) throw;
+                if (!degradeToInterpreter()) throw;
                 return JitCode(prog, std::move(receiver), std::move(method), std::move(args),
                                mpi, std::move(tr));
             }

@@ -42,7 +42,8 @@ public:
 
     /// Configures MPI execution with `ranks` ranks. `nodeList` is accepted
     /// for interface fidelity with the paper but ignored: MiniMPI ranks are
-    /// in-process threads, not hosts.
+    /// threads of this process or, under WJ_TRANSPORT=proc, forked child
+    /// processes on this host — never other hosts.
     void set4MPI(int ranks, const std::string& nodeList = "");
 
     /// Runs the translated code with the arguments recorded at jit() time.
@@ -111,8 +112,9 @@ public:
         return translation_.soaClasses;
     }
 
-    /// MiniMPI traffic of the most recent multi-rank invoke(): total plus
-    /// the pooled / zero-copy split (all zeros before the first MPI run).
+    /// MiniMPI traffic of the most recent multi-rank invoke(): messages and
+    /// payload bytes, collective internals included (all zeros before the
+    /// first MPI run).
     minimpi::CommStats commStats() const noexcept { return commStats_; }
 
     /// Snapshot of the process-wide metrics registry (src/trace/metrics.h):

@@ -27,13 +27,25 @@ constexpr int kDefaultWatchdogMs = 30000;
 
 int watchdogDefaultMs() { return static_cast<int>(envInt("WJ_WATCHDOG_MS", kDefaultWatchdogMs)); }
 
+/// Builds a message from a raw region (the one payload copy on the send
+/// side) and posts it on `channel`.
+void postBytes(Transport& t, int me, const void* buf, size_t bytes, int dest, int tag,
+               int channel) {
+    Message msg;
+    msg.src = me;
+    msg.tag = tag;
+    msg.channel = channel;
+    msg.data.assign(static_cast<const uint8_t*>(buf), static_cast<const uint8_t*>(buf) + bytes);
+    t.post(dest, std::move(msg));
+}
+
 /// Takes the matching message off `channel`, checks that it carries exactly
-/// `bytes`, copies it into `buf` and hands the buffer back to the transport.
-/// `what` names the operation in the size-mismatch error; `span` (if any)
-/// gets the resolved source. Returns the actual source rank.
+/// `bytes` and copies it into `buf`. `what` names the operation in the
+/// size-mismatch error; `span` (if any) gets the resolved source. Returns
+/// the actual source rank.
 int takeInto(Transport& t, int me, void* buf, size_t bytes, int src, int tag, int channel,
              int timeoutMs, const char* what, trace::Span* span) {
-    Message msg = t.take(me, src, tag, channel, timeoutMs);
+    const Message msg = t.take(me, src, tag, channel, timeoutMs);
     if (span) span->arg(0, "peer", msg.src);  // resolve ANY to the actual source
     if (msg.data.size() != bytes) {
         throw ExecError(format(
@@ -42,7 +54,6 @@ int takeInto(Transport& t, int me, void* buf, size_t bytes, int src, int tag, in
             what, me, msg.src, tag, t.kind(), bytes, msg.data.size()));
     }
     std::memcpy(buf, msg.data.data(), bytes);
-    t.recycle(std::move(msg.data));
     return msg.src;
 }
 
@@ -56,6 +67,60 @@ TransportKind defaultTransportKind() {
 }
 
 int configuredRanks(int fallback) { return static_cast<int>(envInt("WJ_NP", fallback, 1)); }
+
+std::string srcName(int src) {
+    return src == kAnySource ? std::string("ANY") : std::to_string(src);
+}
+
+// --------------------------------------------------------- stall watchdog
+
+bool StallRule::sample(uint64_t progress, int size, const std::function<int(int)>& stateOf) {
+    bool anyBlocked = false, anyRunning = false;
+    for (int r = 0; r < size; ++r) {
+        const int s = stateOf(r);
+        if (s == kRankBlockedRecv || s == kRankBlockedBarrier) anyBlocked = true;
+        else if (s != kRankDone) anyRunning = true;
+    }
+    const bool stalled = anyBlocked && !anyRunning && progress == lastProgress_;
+    const bool fire = stalled && stalledOnce_;
+    stalledOnce_ = stalled;
+    lastProgress_ = progress;
+    return fire;
+}
+
+std::string waitDump(int size, const std::function<RankWait(int)>& waitOf) {
+    std::string out;
+    for (int r = 0; r < size; ++r) {
+        const RankWait w = waitOf(r);
+        switch (w.state) {
+        case kRankBlockedRecv:
+            out += format("\n  rank %d: blocked in recv(src=%s, tag=%d, %s channel), "
+                          "mailbox depth %lld",
+                          r, srcName(w.src).c_str(), w.tag,
+                          w.channel == 0 ? "user" : "collective", w.depth);
+            break;
+        case kRankBlockedBarrier:
+            out += format("\n  rank %d: blocked in barrier, mailbox depth %lld", r, w.depth);
+            break;
+        case kRankDone:
+            out += format("\n  rank %d: finished", r);
+            break;
+        default:
+            out += format("\n  rank %d: running, mailbox depth %lld", r, w.depth);
+            break;
+        }
+        if (!w.peer.empty()) out += " [" + w.peer + "]";
+    }
+    return out;
+}
+
+std::string stallReport(int quantumMs, const char* transport, int size,
+                        const std::function<RankWait(int)>& waitOf) {
+    return format("MiniMPI watchdog: global stall — no progress for ~%d ms with every live "
+                  "rank blocked (transport=%s); aborting world. Per-rank wait state:",
+                  quantumMs, transport) +
+           waitDump(size, waitOf);
+}
 
 // ------------------------------------------------------------------ World
 
@@ -105,25 +170,7 @@ void Comm::send(const void* buf, size_t bytes, int dest, int tag) {
     trace::Span span("comm", "send", "peer", dest, "tag", tag,
                      "bytes", static_cast<int64_t>(bytes));
     faultHook();
-    Message msg;
-    msg.src = rank_;
-    msg.tag = tag;
-    msg.channel = 0;
-    world_->transport_->fillPayload(&msg, buf, bytes);
-    world_->transport_->post(dest, std::move(msg));
-}
-
-void Comm::send(std::vector<uint8_t>&& data, int dest, int tag) {
-    trace::Span span("comm", "send", "peer", dest, "tag", tag,
-                     "bytes", static_cast<int64_t>(data.size()));
-    faultHook();
-    Message msg;
-    msg.src = rank_;
-    msg.tag = tag;
-    msg.channel = 0;
-    msg.origin = kOriginMoved;
-    msg.data = std::move(data);
-    world_->transport_->post(dest, std::move(msg));
+    postBytes(*world_->transport_, rank_, buf, bytes, dest, tag, 0);
 }
 
 int Comm::recv(void* buf, size_t bytes, int src, int tag) {
@@ -162,12 +209,7 @@ namespace {
 
 /// Collective-internal send/recv on the system channel (channel 1).
 void sendSys(Transport& t, int me, const void* buf, size_t bytes, int dest, int tag) {
-    Message msg;
-    msg.src = me;
-    msg.tag = tag;
-    msg.channel = 1;
-    t.fillPayload(&msg, buf, bytes);
-    t.post(dest, std::move(msg));
+    postBytes(t, me, buf, bytes, dest, tag, 1);
 }
 
 void recvSys(Transport& t, int me, void* buf, size_t bytes, int src, int tag) {

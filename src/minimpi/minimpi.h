@@ -5,8 +5,8 @@
 // with two transports behind one Transport interface (transport.h):
 //
 //   * threads (default): ranks are OS threads inside one process,
-//     point-to-point messages travel through tag-matched mailboxes with
-//     zero-copy/pooled payloads — the in-process fast path;
+//     point-to-point messages are moved into tag-matched mailboxes — the
+//     in-process fast path;
 //   * proc (WJ_TRANSPORT=proc, or `wjrun`): ranks are forked child
 //     processes communicating over shared-memory SPSC rings with a
 //     Unix-socket fallback for large payloads — real address-space
@@ -58,15 +58,9 @@ public:
     int rank() const noexcept { return rank_; }
     int size() const noexcept;
 
-    /// Buffered send of `bytes` bytes to `dest` with `tag`. On the threads
-    /// transport, payloads of kPooledThreshold bytes or more travel in
-    /// recycled pool buffers.
+    /// Buffered send of `bytes` bytes to `dest` with `tag`: the payload is
+    /// copied once into the message, so `buf` is reusable on return.
     void send(const void* buf, size_t bytes, int dest, int tag);
-
-    /// Zero-copy send: the caller's buffer is moved into the mailbox with
-    /// no payload copy (its size is the message size). The proc transport
-    /// still copies once through the ring/socket — that is its nature.
-    void send(std::vector<uint8_t>&& data, int dest, int tag);
 
     /// Blocking receive of exactly `bytes` bytes from `src` (or kAnySource)
     /// with matching `tag`. Throws ExecError on size mismatch or abort.
@@ -166,17 +160,12 @@ public:
     int64_t messagesSent() const noexcept { return transport_->stats().messages; }
     int64_t bytesSent() const noexcept { return transport_->stats().bytes; }
 
-    /// Full traffic snapshot including the pooled / zero-copy split.
+    /// Traffic snapshot: messages and bytes in one read.
     CommStats stats() const noexcept { return transport_->stats(); }
 
     /// Reads and clears the result published by Comm::publishResult during
     /// the last run(); false when no rank published one.
     bool takeResult(int* kind, int64_t* bits) { return transport_->takeResult(kind, bits); }
-
-    /// Messages at or above this size ride in recycled pool buffers on the
-    /// threads transport; the buffer returns to the pool when the receiver
-    /// drains it.
-    static constexpr size_t kPooledThreshold = 256;
 
 private:
     friend class Comm;

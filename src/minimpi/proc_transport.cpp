@@ -77,10 +77,6 @@ constexpr uint8_t kCtlUsageError = 'U';
 // children that have not exited on their own.
 constexpr auto kAbortGrace = std::chrono::seconds(5);
 
-std::string srcName(int src) {
-    return src == kAnySource ? std::string("ANY") : std::to_string(src);
-}
-
 size_t alignUp(size_t v, size_t a) { return (v + a - 1) & ~(a - 1); }
 
 /// Per-rank shared cell: watchdog-visible wait state + identity.
@@ -165,11 +161,6 @@ public:
 
     void post(int dest, Message msg) override;
     Message take(int me, int src, int tag, int channel, int timeoutMs) override;
-    void fillPayload(Message* msg, const void* buf, size_t bytes) override {
-        msg->data.assign(static_cast<const uint8_t*>(buf),
-                         static_cast<const uint8_t*>(buf) + bytes);
-    }
-    void recycle(std::vector<uint8_t>&&) override {}
     void barrier(int me) override;
 
     void publishResult(int kind, int64_t bits) override {
@@ -228,7 +219,8 @@ private:
     // ---- parent side ---------------------------------------------------
     void supervise(int watchdogMs);
     void parseControl(ChildState& c);
-    std::string procDump() const;
+    /// Rank r's wait state, mailbox depth and pid/fate, for wait dumps.
+    RankWait waitOf(int r) const;
     std::string deadChildReport() const;
     std::string rankStatus(int r) const;
 
@@ -386,8 +378,7 @@ void ProcTransport::run(const std::function<void(int)>& body, int watchdogMs) {
 
     supervise(watchdogMs);
 
-    // Fold this run's shared counters into the since-construction totals
-    // (the proc transport always copies, so no pooled/zero-copy split).
+    // Fold this run's shared counters into the since-construction totals.
     total_.messages += hdr_->messages.load(std::memory_order_relaxed);
     total_.bytes += hdr_->bytes.load(std::memory_order_relaxed);
     if (hdr_->resultSet.load(std::memory_order_acquire)) {
@@ -408,10 +399,9 @@ void ProcTransport::supervise(int watchdogMs) {
     bool graceArmed = false;
     clock::time_point graceDeadline{};
 
-    // Watchdog sampling state (same two-sample rule as the threads
-    // transport, driven from the supervisor loop).
-    uint64_t lastProgress = ~uint64_t{0};
-    bool stalledOnce = false;
+    // Watchdog sampling state (the threads transport's two-sample rule,
+    // driven from the supervisor loop).
+    StallRule rule;
     auto nextSample = clock::now() + std::chrono::milliseconds(
                                          watchdogMs > 0 ? std::max(1, watchdogMs / 2) : 0);
 
@@ -488,28 +478,19 @@ void ProcTransport::supervise(int watchdogMs) {
         // 4. Stall watchdog.
         if (watchdogMs > 0 && goSent && !hdr_->aborted.load() && clock::now() >= nextSample) {
             nextSample = clock::now() + std::chrono::milliseconds(std::max(1, watchdogMs / 2));
-            const uint64_t p = hdr_->progress.load(std::memory_order_relaxed);
-            bool anyBlocked = false, allQuiet = true;
-            for (int r = 0; r < size_; ++r) {
-                if (children_[static_cast<size_t>(r)].reaped) continue;  // dead = quiet
-                const int s = cells_[r].state.load(std::memory_order_acquire);
-                if (s == kRankBlockedRecv || s == kRankBlockedBarrier) anyBlocked = true;
-                else if (s != kRankDone) allQuiet = false;
-            }
-            const bool stalled = anyBlocked && allQuiet && p == lastProgress;
-            if (stalled && stalledOnce) {
+            const bool stalled =
+                rule.sample(hdr_->progress.load(std::memory_order_relaxed), size_, [&](int r) {
+                    if (children_[static_cast<size_t>(r)].reaped) return kRankDone;  // dead = quiet
+                    return static_cast<int>(cells_[r].state.load(std::memory_order_acquire));
+                });
+            if (stalled) {
                 watchdogFired_.store(true);
                 if (!primaryErr_) {
-                    primaryErr_ = std::make_exception_ptr(ExecError(format(
-                        "MiniMPI watchdog: global stall — no progress for ~%d ms with every "
-                        "live rank blocked (transport=proc); aborting world. Per-rank wait "
-                        "state:%s",
-                        watchdogMs, procDump().c_str())));
+                    primaryErr_ = std::make_exception_ptr(ExecError(stallReport(
+                        watchdogMs, "proc", size_, [&](int r) { return waitOf(r); })));
                 }
                 hdr_->aborted.store(1, std::memory_order_release);
             }
-            stalledOnce = stalled;
-            lastProgress = p;
         }
 
         // 5. Abort grace: children observe the flag and exit on their own;
@@ -610,32 +591,16 @@ std::string ProcTransport::rankStatus(int r) const {
     return format("pid %d, running", static_cast<int>(c.pid));
 }
 
-std::string ProcTransport::procDump() const {
-    std::string out;
-    for (int r = 0; r < size_; ++r) {
-        const int32_t depth = cells_[r].depth.load(std::memory_order_relaxed);
-        switch (cells_[r].state.load(std::memory_order_acquire)) {
-        case kRankBlockedRecv:
-            out += format("\n  rank %d: blocked in recv(src=%s, tag=%d, %s channel), "
-                          "mailbox depth %d [%s]",
-                          r, srcName(cells_[r].src.load()).c_str(), cells_[r].tag.load(),
-                          cells_[r].channel.load() == 0 ? "user" : "collective", depth,
-                          rankStatus(r).c_str());
-            break;
-        case kRankBlockedBarrier:
-            out += format("\n  rank %d: blocked in barrier, mailbox depth %d [%s]", r, depth,
-                          rankStatus(r).c_str());
-            break;
-        case kRankDone:
-            out += format("\n  rank %d: finished [%s]", r, rankStatus(r).c_str());
-            break;
-        default:
-            out += format("\n  rank %d: running, mailbox depth %d [%s]", r, depth,
-                          rankStatus(r).c_str());
-            break;
-        }
-    }
-    return out;
+RankWait ProcTransport::waitOf(int r) const {
+    const RankCell& c = cells_[r];
+    RankWait w;
+    w.state = c.state.load(std::memory_order_acquire);
+    w.src = c.src.load();
+    w.tag = c.tag.load();
+    w.channel = c.channel.load();
+    w.depth = c.depth.load(std::memory_order_relaxed);
+    w.peer = rankStatus(r);
+    return w;
 }
 
 std::string ProcTransport::deadChildReport() const {
@@ -644,7 +609,8 @@ std::string ProcTransport::deadChildReport() const {
     const int sig = hdr_->deadSig.load();
     return format("MiniMPI proc transport: rank %d (pid %d) died: killed by signal %d (%s) — "
                   "aborting world. Per-rank wait state:%s",
-                  r, pid, sig, strsignal(sig), procDump().c_str());
+                  r, pid, sig, strsignal(sig),
+                  waitDump(size_, [&](int rank) { return waitOf(rank); }).c_str());
 }
 
 std::string ProcTransport::peerDescription(int rank) const {

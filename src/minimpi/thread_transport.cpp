@@ -1,13 +1,12 @@
 // ThreadTransport: the original in-process MiniMPI path — ranks as OS
-// threads, tag-matched mailboxes under mutex+condvar, zero-copy / pooled
-// payloads, a generation-counted condvar barrier, and the two-sample stall
+// threads, tag-matched mailboxes under mutex+condvar that each message is
+// moved into, a generation-counted condvar barrier, and the two-sample stall
 // watchdog. This is the fast path; the process transport trades its speed
 // for real address-space isolation.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <string>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "minimpi/minimpi.h"
 #include "minimpi/transport.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
@@ -24,10 +22,6 @@
 namespace wj::minimpi {
 
 namespace {
-
-std::string srcName(int src) {
-    return src == kAnySource ? std::string("ANY") : std::to_string(src);
-}
 
 class ThreadTransport final : public Transport {
 public:
@@ -41,8 +35,6 @@ public:
 
     void post(int dest, Message msg) override;
     Message take(int me, int src, int tag, int channel, int timeoutMs) override;
-    void fillPayload(Message* msg, const void* buf, size_t bytes) override;
-    void recycle(std::vector<uint8_t>&& payload) override { pool_.release(std::move(payload)); }
     void barrier(int me) override;
 
     void publishResult(int kind, int64_t bits) override {
@@ -61,30 +53,11 @@ public:
         CommStats s;
         s.messages = messages_;
         s.bytes = bytes_;
-        s.pooledMessages = pooledMessages_;
-        s.pooledBytes = pooledBytes_;
-        s.zeroCopyMessages = zeroCopyMessages_;
-        s.zeroCopyBytes = zeroCopyBytes_;
         return s;
     }
     bool watchdogFired() const noexcept override { return watchdogFired_.load(); }
 
 private:
-    /// Size-bucketed freelist of payload vectors. Bounded: at most
-    /// kMaxCachedBytes of capacity is retained; oversize or surplus
-    /// buffers are simply dropped (freed).
-    class BufferPool {
-    public:
-        std::vector<uint8_t> acquire(size_t bytes);
-        void release(std::vector<uint8_t>&& buf);
-
-    private:
-        static constexpr size_t kMaxCachedBytes = 64u << 20;
-        std::mutex m_;
-        std::vector<std::vector<uint8_t>> free_;
-        size_t cachedBytes_ = 0;
-    };
-
     struct Mailbox {
         std::mutex m;
         std::condition_variable cv;
@@ -93,7 +66,7 @@ private:
 
     /// Watchdog-visible wait state of one rank thread. All fields are
     /// atomics because the watchdog samples them from its own thread.
-    struct RankWait {
+    struct RankCell {
         std::atomic<int> state{kRankRunning};
         std::atomic<int> src{0};
         std::atomic<int> tag{0};
@@ -102,12 +75,12 @@ private:
 
     void abort() noexcept;
 
-    /// Per-rank diagnostic dump for the watchdog's abort error.
-    std::string stallReport(int quantumMs);
+    /// Rank r's wait state and mailbox depth, for the watchdog's dump.
+    RankWait waitOf(int r);
 
     int size_;
     std::vector<Mailbox> boxes_;
-    std::vector<RankWait> waits_;
+    std::vector<RankCell> waits_;
 
     std::mutex barrierM_;
     std::condition_variable barrierCv_;
@@ -123,71 +96,13 @@ private:
     std::atomic<bool> aborted_{false};
     std::atomic<int64_t> messages_{0};
     std::atomic<int64_t> bytes_{0};
-    std::atomic<int64_t> pooledMessages_{0};
-    std::atomic<int64_t> pooledBytes_{0};
-    std::atomic<int64_t> zeroCopyMessages_{0};
-    std::atomic<int64_t> zeroCopyBytes_{0};
 
     std::atomic<int> resultKind_{0};
     std::atomic<int64_t> resultBits_{0};
     std::atomic<bool> resultSet_{false};
-
-    BufferPool pool_;
 };
 
-// ------------------------------------------------------------- buffer pool
-
-std::vector<uint8_t> ThreadTransport::BufferPool::acquire(size_t bytes) {
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        // Smallest cached buffer that fits, searched from the back so the
-        // most recently released (cache-warm) candidates win ties.
-        size_t best = free_.size();
-        for (size_t i = free_.size(); i-- > 0;) {
-            if (free_[i].capacity() < bytes) continue;
-            if (best == free_.size() || free_[i].capacity() < free_[best].capacity()) best = i;
-        }
-        if (best != free_.size()) {
-            std::vector<uint8_t> buf = std::move(free_[best]);
-            free_.erase(free_.begin() + static_cast<ptrdiff_t>(best));
-            cachedBytes_ -= buf.capacity();
-            buf.clear();
-            return buf;
-        }
-    }
-    std::vector<uint8_t> buf;
-    // Round capacity up to the next power of two so repeated traffic at
-    // nearby sizes lands in the same size class.
-    size_t cap = World::kPooledThreshold;
-    while (cap < bytes) cap *= 2;
-    buf.reserve(cap);
-    return buf;
-}
-
-void ThreadTransport::BufferPool::release(std::vector<uint8_t>&& buf) {
-    if (buf.capacity() < World::kPooledThreshold) return;
-    std::lock_guard<std::mutex> lock(m_);
-    if (cachedBytes_ + buf.capacity() > kMaxCachedBytes) return;  // drop: bounded cache
-    cachedBytes_ += buf.capacity();
-    free_.push_back(std::move(buf));
-}
-
 // --------------------------------------------------------------- data plane
-
-/// Fills a Message payload from a raw region: large payloads ride a
-/// recycled pool buffer (no allocation on the steady state), small ones a
-/// plain fresh vector.
-void ThreadTransport::fillPayload(Message* msg, const void* buf, size_t bytes) {
-    if (bytes >= World::kPooledThreshold) {
-        msg->data = pool_.acquire(bytes);
-        msg->data.resize(bytes);
-        std::memcpy(msg->data.data(), buf, bytes);
-        msg->origin = kOriginPooled;
-    } else {
-        msg->data.assign(static_cast<const uint8_t*>(buf),
-                         static_cast<const uint8_t*>(buf) + bytes);
-    }
-}
 
 void ThreadTransport::post(int dest, Message msg) {
     if (dest < 0 || dest >= size_) {
@@ -207,13 +122,6 @@ void ThreadTransport::post(int dest, Message msg) {
         (msg.channel == 0 ? userBytes : sysBytes).add(static_cast<int64_t>(msg.data.size()));
         msgs.inc();
     }
-    if (msg.origin == kOriginPooled) {
-        pooledMessages_ += 1;
-        pooledBytes_ += static_cast<int64_t>(msg.data.size());
-    } else if (msg.origin == kOriginMoved) {
-        zeroCopyMessages_ += 1;
-        zeroCopyBytes_ += static_cast<int64_t>(msg.data.size());
-    }
     bool duplicate = false;
     if (fault::FaultPlan::active()) {
         // The injector models the link: it may corrupt or delay the payload
@@ -227,8 +135,8 @@ void ThreadTransport::post(int dest, Message msg) {
     Mailbox& box = boxes_[static_cast<size_t>(dest)];
     {
         std::lock_guard<std::mutex> lock(box.m);
-        box.q.push_back(msg);
-        if (duplicate) box.q.push_back(std::move(msg));
+        if (duplicate) box.q.push_back(msg);  // the one payload copy: an injected duplicate
+        box.q.push_back(std::move(msg));
     }
     progress_.fetch_add(1, std::memory_order_relaxed);
     // Notifying after the unlock is safe: a receiver can only be between
@@ -243,7 +151,7 @@ Message ThreadTransport::take(int me, int src, int tag, int channel, int timeout
         throw ExecError(format("rank %d: MPI recv from invalid rank %d (tag %d)", me, src, tag));
     }
     Mailbox& box = boxes_[static_cast<size_t>(me)];
-    RankWait& w = waits_[static_cast<size_t>(me)];
+    RankCell& w = waits_[static_cast<size_t>(me)];
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
     bool timedOut = false;
     std::unique_lock<std::mutex> lock(box.m);
@@ -292,7 +200,7 @@ void ThreadTransport::barrier(int me) {
         barrierCv_.notify_all();
         return;
     }
-    RankWait& w = waits_[static_cast<size_t>(me)];
+    RankCell& w = waits_[static_cast<size_t>(me)];
     w.state.store(kRankBlockedBarrier, std::memory_order_release);
     barrierCv_.wait(lock, [&] { return barrierGen_ != gen || aborted_.load(); });
     w.state.store(kRankRunning, std::memory_order_release);
@@ -320,37 +228,16 @@ void ThreadTransport::abort() noexcept {
     }
 }
 
-std::string ThreadTransport::stallReport(int quantumMs) {
-    std::string out = format(
-        "MiniMPI watchdog: global stall — no progress for ~%d ms with every live rank blocked "
-        "(transport=threads); aborting world. Per-rank wait state:",
-        quantumMs);
-    for (int r = 0; r < size_; ++r) {
-        RankWait& w = waits_[static_cast<size_t>(r)];
-        size_t depth;
-        {
-            std::lock_guard<std::mutex> lock(boxes_[static_cast<size_t>(r)].m);
-            depth = boxes_[static_cast<size_t>(r)].q.size();
-        }
-        switch (w.state.load(std::memory_order_acquire)) {
-        case kRankBlockedRecv:
-            out += format("\n  rank %d: blocked in recv(src=%s, tag=%d, %s channel), "
-                          "mailbox depth %zu",
-                          r, srcName(w.src.load()).c_str(), w.tag.load(),
-                          w.channel.load() == 0 ? "user" : "collective", depth);
-            break;
-        case kRankBlockedBarrier:
-            out += format("\n  rank %d: blocked in barrier, mailbox depth %zu", r, depth);
-            break;
-        case kRankDone:
-            out += format("\n  rank %d: finished", r);
-            break;
-        default:
-            out += format("\n  rank %d: running, mailbox depth %zu", r, depth);
-            break;
-        }
-    }
-    return out;
+RankWait ThreadTransport::waitOf(int r) {
+    const RankCell& c = waits_[static_cast<size_t>(r)];
+    RankWait w;
+    w.state = c.state.load(std::memory_order_acquire);
+    w.src = c.src.load();
+    w.tag = c.tag.load();
+    w.channel = c.channel.load();
+    std::lock_guard<std::mutex> lock(boxes_[static_cast<size_t>(r)].m);
+    w.depth = static_cast<long long>(boxes_[static_cast<size_t>(r)].q.size());
+    return w;
 }
 
 void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) {
@@ -391,10 +278,8 @@ void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) 
         });
     }
 
-    // Stall watchdog: samples twice per quantum; fires only after two
-    // consecutive samples in which the progress counter stood still and
-    // every rank was blocked (or finished) — i.e. the world cannot advance
-    // on its own. Disabled with quantum 0.
+    // Stall watchdog: samples twice per quantum and fires on StallRule —
+    // the world cannot advance on its own. Disabled with quantum 0.
     std::thread watchdog;
     std::mutex wdM;
     std::condition_variable wdCv;
@@ -403,24 +288,20 @@ void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) 
     if (quantum > 0) {
         watchdog = std::thread([&] {
             std::unique_lock<std::mutex> lk(wdM);
-            uint64_t lastProgress = ~uint64_t{0};
-            bool stalledOnce = false;
+            StallRule rule;
             const auto tick = std::chrono::milliseconds(std::max(1, quantum / 2));
             for (;;) {
                 if (wdCv.wait_for(lk, tick, [&] { return wdStop; })) return;
                 if (aborted_.load()) return;
-                const uint64_t p = progress_.load(std::memory_order_relaxed);
-                bool anyBlocked = false, allQuiet = true;
-                for (int r = 0; r < size_; ++r) {
-                    const int s = waits_[static_cast<size_t>(r)].state.load(
-                        std::memory_order_acquire);
-                    if (s == kRankBlockedRecv || s == kRankBlockedBarrier) anyBlocked = true;
-                    else if (s != kRankDone) allQuiet = false;
-                }
-                const bool stalled = anyBlocked && allQuiet && p == lastProgress;
-                if (stalled && stalledOnce) {
+                const bool stalled =
+                    rule.sample(progress_.load(std::memory_order_relaxed), size_, [&](int r) {
+                        return waits_[static_cast<size_t>(r)].state.load(
+                            std::memory_order_acquire);
+                    });
+                if (stalled) {
                     watchdogFired_.store(true);
-                    auto err = std::make_exception_ptr(ExecError(stallReport(quantum)));
+                    auto err = std::make_exception_ptr(ExecError(stallReport(
+                        quantum, "threads", size_, [&](int r) { return waitOf(r); })));
                     {
                         std::lock_guard<std::mutex> lock(errM);
                         if (!firstErr) firstErr = std::move(err);
@@ -428,8 +309,6 @@ void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) 
                     abort();
                     return;
                 }
-                stalledOnce = stalled;
-                lastProgress = p;
             }
         });
     }

@@ -12,9 +12,9 @@
 // This interface splits the strategy from the semantics:
 //
 //   * ThreadTransport (thread_transport.cpp) — the original in-process
-//     path: unbounded mailboxes, condvar blocking, the zero-copy /
-//     buffer-pool payload strategy, a condition-variable barrier, and the
-//     in-thread stall watchdog. The fast path, bit-for-bit as before.
+//     path: unbounded mailboxes the sender's message is moved into,
+//     condvar blocking, a condition-variable barrier, and the in-thread
+//     stall watchdog. The fast path.
 //   * ProcTransport (proc_transport.cpp) — ranks are forked child
 //     processes. Point-to-point bytes travel through single-producer/
 //     single-consumer byte rings in anonymous MAP_SHARED memory (one ring
@@ -29,7 +29,8 @@
 // layered on point-to-point, fault hooks) lives above this interface in
 // minimpi.cpp and is identical for both transports — that is the
 // determinism contract that lets tests compare checksums across
-// transports bitwise.
+// transports bitwise. The stall rule and the per-rank wait dump are
+// shared the same way (StallRule, waitDump below).
 #pragma once
 
 #include <cstdint>
@@ -54,37 +55,17 @@ TransportKind defaultTransportKind();
 /// communicates the rank count to examples it launches.
 int configuredRanks(int fallback);
 
-/// Traffic accounting snapshot (World::stats()). `bytes` counts every
-/// payload byte posted; the pooled/zeroCopy splits say how those bytes
-/// travelled on the threads transport, so benches can report how much was
-/// actually memcpy'd:
-///   copied      = plain assign into a fresh vector (small messages),
-///   pooled      = one memcpy into a recycled pool buffer (large messages:
-///                 no allocation, and the buffer returns to the pool at
-///                 recv), and
-///   zero-copy   = the caller's vector moved straight into the mailbox.
-/// The process transport always crosses address spaces (ring or socket
-/// copy), so it reports every message as copied.
+/// Traffic accounting snapshot (World::stats()): every message and
+/// payload byte posted, collective internals included.
 struct CommStats {
     int64_t messages = 0;
     int64_t bytes = 0;
-    int64_t pooledMessages = 0;
-    int64_t pooledBytes = 0;
-    int64_t zeroCopyMessages = 0;
-    int64_t zeroCopyBytes = 0;
-    /// Bytes that crossed the mailbox via at least one send-side memcpy.
-    int64_t copiedBytes() const noexcept { return bytes - zeroCopyBytes; }
 };
-
-/// How a message payload was produced on the send side (threads-transport
-/// zero-copy accounting; the process transport always copies).
-enum Origin : uint8_t { kOriginCopied = 0, kOriginPooled = 1, kOriginMoved = 2 };
 
 struct Message {
     int src = 0;
     int tag = 0;
     int channel = 0;  // 0 = user point-to-point, 1 = collective internals
-    uint8_t origin = kOriginCopied;
     std::vector<uint8_t> data;
 };
 
@@ -94,6 +75,41 @@ inline constexpr int kRankRunning = 0;
 inline constexpr int kRankBlockedRecv = 1;
 inline constexpr int kRankBlockedBarrier = 2;
 inline constexpr int kRankDone = 3;
+
+/// "ANY" for kAnySource, else the rank number (wait dumps, recv errors).
+std::string srcName(int src);
+
+/// The stall watchdog's two-sample rule, shared by both transports. Feed
+/// it one sample per half quantum: a stall is declared when global
+/// progress stood still across two consecutive samples in each of which
+/// some rank was blocked in recv/barrier and none was running.
+class StallRule {
+public:
+    /// `stateOf(r)` is rank r's wait state; a rank that can no longer act
+    /// (a reaped child) reports kRankDone. True when the world stalled.
+    bool sample(uint64_t progress, int size, const std::function<int(int)>& stateOf);
+
+private:
+    uint64_t lastProgress_ = ~uint64_t{0};
+    bool stalledOnce_ = false;
+};
+
+/// One rank's wait state as a per-rank wait dump shows it.
+struct RankWait {
+    int state = kRankRunning;
+    int src = 0;
+    int tag = 0;
+    int channel = 0;
+    long long depth = 0;  // messages waiting in the rank's mailbox
+    std::string peer;     // appended as " [peer]" when set (proc: pid and fate)
+};
+
+/// The per-rank wait dump: one "\n  rank N: ..." line per rank.
+std::string waitDump(int size, const std::function<RankWait(int)>& waitOf);
+
+/// The watchdog's abort error: headline plus waitDump().
+std::string stallReport(int quantumMs, const char* transport, int size,
+                        const std::function<RankWait(int)>& waitOf);
 
 class Transport {
 public:
@@ -119,11 +135,6 @@ public:
     /// rank `me`; FIFO per (src, tag, channel). `timeoutMs < 0` waits
     /// forever, otherwise throws ExecError after the deadline.
     virtual Message take(int me, int src, int tag, int channel, int timeoutMs) = 0;
-    /// Payload setup for raw-region sends (threads: pool buffers at or
-    /// above the pooled threshold; proc: plain copy).
-    virtual void fillPayload(Message* msg, const void* buf, size_t bytes) = 0;
-    /// Returns a drained payload to the transport (threads: buffer pool).
-    virtual void recycle(std::vector<uint8_t>&& payload) = 0;
     /// Collective barrier over all ranks for rank `me`.
     virtual void barrier(int me) = 0;
 

@@ -33,6 +33,7 @@
 #include "stencil/stencil_lib.h"
 #include "support/diagnostics.h"
 #include "support/timer.h"
+#include "trace/metrics.h"
 
 namespace fs = std::filesystem;
 using namespace wj;
@@ -169,21 +170,33 @@ TEST_F(FaultTest, DropStallsReceiverUntilWatchdog) {
 }
 
 TEST_F(FaultTest, DuplicateDeliversTwice) {
-    FaultPlan::instance().configure("dup:src=0,dest=1,tag=9");
-    World w(2);
-    w.run([](Comm& c) {
-        if (c.rank() == 0) {
-            const int v = 7;
-            c.send(&v, sizeof v, 1, 9);
-        } else {
-            int a = 0, b = 0;
-            c.recv(&a, sizeof a, 0, 9);
-            c.recv(&b, sizeof b, 0, 9);  // satisfied by the duplicate
-            EXPECT_EQ(7, a);
-            EXPECT_EQ(7, b);
-        }
-    });
-    EXPECT_EQ(1, FaultPlan::instance().stats().duplicates);
+    // post() moves the message into the mailbox, so the duplicate must be
+    // copied before that move (one taken after it arrives empty). A small
+    // and a 64 KiB payload, each delivery checked byte by byte.
+    for (const size_t bytes : {sizeof(int), size_t{64} << 10}) {
+        SCOPED_TRACE(bytes);
+        FaultPlan::instance().resetStats();
+        FaultPlan::instance().configure("dup:src=0,dest=1,tag=9");
+        const auto byteAt = [](size_t i) { return static_cast<uint8_t>(7 + i * 13 % 251); };
+        World w(2);
+        w.run([&](Comm& c) {
+            if (c.rank() == 0) {
+                std::vector<uint8_t> v(bytes);
+                for (size_t i = 0; i < bytes; ++i) v[i] = byteAt(i);
+                c.send(v.data(), bytes, 1, 9);
+            } else {
+                std::vector<uint8_t> a(bytes, 0), b(bytes, 0);
+                c.recv(a.data(), bytes, 0, 9);
+                c.recv(b.data(), bytes, 0, 9);  // satisfied by the duplicate
+                size_t bad = 0;
+                for (size_t i = 0; i < bytes; ++i) {
+                    bad += (a[i] != byteAt(i)) + (b[i] != byteAt(i));
+                }
+                EXPECT_EQ(0u, bad) << "both deliveries carry every payload byte";
+            }
+        });
+        EXPECT_EQ(1, FaultPlan::instance().stats().duplicates);
+    }
 }
 
 TEST_F(FaultTest, CorruptIsDeterministicPerSeed) {
@@ -292,10 +305,19 @@ TEST_F(FaultTest, UnavailableCompilerFallsBackToInterpreter) {
     Program p = makeProgram(0.75);
     Interp in(p);
     Value calc = in.instantiate("Calc", {});
+    auto& fallbacks = trace::Metrics::instance().counter("jit.fallbacks.interpreter");
+    int64_t before = fallbacks.value();
     JitCode code = WootinJ::jit(p, calc, "run", {Value::ofI32(3)});
     EXPECT_EQ(ExecMode::Interpreter, code.execMode());
     EXPECT_FALSE(code.cacheHit());
     EXPECT_EQ(3.75, code.invoke().asF64());
+    EXPECT_EQ(1, fallbacks.value() - before) << "jit() records its fallback";
+    // The async pipeline degrades the same way and is counted the same way.
+    before = fallbacks.value();
+    JitCode async = WootinJ::jitAsync(p, calc, "run", {Value::ofI32(3)}).get();
+    EXPECT_EQ(ExecMode::Interpreter, async.execMode());
+    EXPECT_EQ(3.75, async.invoke().asF64());
+    EXPECT_EQ(1, fallbacks.value() - before) << "jitAsync() records its fallback";
     // Fallback is an opt-out: with WJ_JIT_FALLBACK=0 the error surfaces.
     setenv("WJ_JIT_FALLBACK", "0", 1);
     EXPECT_THROW(WootinJ::jit(p, calc, "run", {Value::ofI32(3)}), CompilerUnavailableError);

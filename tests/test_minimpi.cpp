@@ -681,9 +681,9 @@ TEST_P(XportSemantics, WorldReusableAcrossRuns) {
 }
 
 TEST_P(XportSemantics, LargePayloadCrossesTransport) {
-    // 300 kB: above the threads pooled threshold AND above the proc ring
-    // half-capacity, so this exercises the pool path and the Unix-socket
-    // large-message path respectively.
+    // 300 kB: above the proc ring half-capacity, so on the proc transport
+    // this exercises the Unix-socket large-message path; on the threads
+    // transport it is one mailbox move like any other message.
     const size_t kBytes = 300000;
     World w(2, GetParam());
     w.run([&](Comm& c) {

