@@ -205,64 +205,6 @@ void JitCode::set4MPI(int ranks, const std::string& /*nodeList*/) {
     ranks_ = ranks;
 }
 
-namespace {
-
-// Primitive result <-> (kind, bits) codec for Transport::publishResult.
-// JIT entry points return primitive slots only (arrays travel by argument),
-// so this covers every legal MPI entry result.
-enum ResultKind { kResVoid = 0, kResBool, kResI32, kResI64, kResF32, kResF64 };
-
-void encodeResult(const Value& v, int* kind, int64_t* bits) {
-    *bits = 0;
-    if (v.isVoid()) {
-        *kind = kResVoid;
-    } else if (v.isBool()) {
-        *kind = kResBool;
-        *bits = v.asBool() ? 1 : 0;
-    } else if (v.isI32()) {
-        *kind = kResI32;
-        *bits = v.asI32();
-    } else if (v.isI64()) {
-        *kind = kResI64;
-        *bits = v.asI64();
-    } else if (v.isF32()) {
-        *kind = kResF32;
-        const float f = v.asF32();
-        uint32_t u = 0;
-        std::memcpy(&u, &f, sizeof f);
-        *bits = static_cast<int64_t>(u);
-    } else if (v.isF64()) {
-        *kind = kResF64;
-        const double d = v.asF64();
-        std::memcpy(bits, &d, sizeof d);
-    } else {
-        throw ExecError("MPI entry returned a non-primitive result; only void/bool/int/"
-                        "long/float/double can cross the rank boundary");
-    }
-}
-
-Value decodeResult(int kind, int64_t bits) {
-    switch (kind) {
-    case kResBool: return Value::ofBool(bits != 0);
-    case kResI32: return Value::ofI32(static_cast<int32_t>(bits));
-    case kResI64: return Value::ofI64(bits);
-    case kResF32: {
-        const auto u = static_cast<uint32_t>(bits);
-        float f = 0;
-        std::memcpy(&f, &u, sizeof f);
-        return Value::ofF32(f);
-    }
-    case kResF64: {
-        double d = 0;
-        std::memcpy(&d, &bits, sizeof d);
-        return Value::ofF64(d);
-    }
-    default: return Value();
-    }
-}
-
-} // namespace
-
 Value JitCode::invoke() { return invokeWith(recordedArgs_); }
 
 Value JitCode::invokeWith(const std::vector<Value>& args) {
@@ -282,27 +224,21 @@ Value JitCode::invokeWith(const std::vector<Value>& args) {
             // One GPU per node (paper Section 4.1): each rank owns a device.
             gpusim::Device dev(comm.rank());
             runtime::RankScope scope(&comm, &dev);
-            Value r = invokeRank(args);
-            // Rank 0's result leaves the world through the transport's
-            // result slot: lambda captures cannot carry it back across a
-            // fork boundary on the process transport, and MPI entries
-            // return primitives only, so a kind + 64-bit payload suffices.
-            if (comm.rank() == 0) {
-                int kind = 0;
-                int64_t bits = 0;
-                encodeResult(r, &kind, &bits);
-                comm.publishResult(kind, bits);
-            }
+            const int64_t slot = invokeRank(args);
+            // Rank 0's raw result slot leaves the world through the
+            // transport's result slot: lambda captures cannot carry it back
+            // across a fork boundary on the process transport, and the
+            // plan's return type decodes it on this side.
+            if (comm.rank() == 0) comm.publishResult(slot);
         });
         commStats_ = world.stats();
-        int kind = 0;
-        int64_t bits = 0;
-        if (world.takeResult(&kind, &bits)) return decodeResult(kind, bits);
+        int64_t slot = 0;
+        if (world.takeResult(&slot)) return slotToValue(slot, translation_.plan.ret);
         return Value();
     }
     gpusim::Device dev(0);
     runtime::RankScope scope(nullptr, &dev);
-    return invokeRank(args);
+    return slotToValue(invokeRank(args), translation_.plan.ret);
 }
 
 Value JitCode::invokeInterpreter(const std::vector<Value>& args) {
@@ -328,7 +264,7 @@ Value JitCode::invokeInterpreter(const std::vector<Value>& args) {
     return interp.call(recvCopy, method_, std::move(argCopies));
 }
 
-Value JitCode::invokeRank(const std::vector<Value>& args) {
+int64_t JitCode::invokeRank(const std::vector<Value>& args) {
     // Deep-copy the argument arrays into this rank's private memory space.
     std::vector<ArrRef> interpArrays;
     collectArrays(*prog_, receiver_, interpArrays);
@@ -384,7 +320,7 @@ Value JitCode::invokeRank(const std::vector<Value>& args) {
     }
     // No copy-back by default (paper Section 3.1); release the private space.
     for (wj_array* a : nativeArrays) wjrt_free_array(a);
-    return slotToValue(raw, translation_.plan.ret);
+    return raw;
 }
 
 JitCode WootinJ::jit(const Program& prog, const Value& receiver, const std::string& method,

@@ -145,7 +145,9 @@ private:
     JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
             bool mpi, Translation tr);
 
-    Value invokeRank(const std::vector<Value>& args);
+    /// Runs the native entry on this rank; returns its raw result slot
+    /// (decode with slotToValue and translation_.plan.ret).
+    int64_t invokeRank(const std::vector<Value>& args);
     Value invokeInterpreter(const std::vector<Value>& args);
 
     const Program* prog_;

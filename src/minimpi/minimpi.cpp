@@ -1,10 +1,12 @@
-// Transport-agnostic MiniMPI semantics: the Comm surface (tag matching
-// delegated to the transport, collectives layered on point-to-point, fault
-// hooks) and the World facade. Everything address-space-specific lives in
+// Transport-agnostic MiniMPI semantics: the Comm surface (rank checks,
+// collectives layered on point-to-point, fault hooks), the World facade,
+// and the pieces both transports share — the tag-matched Mailbox, the
+// stall rule and the wait dump. Everything address-space-specific lives in
 // thread_transport.cpp / proc_transport.cpp behind transport.h.
 #include "minimpi/minimpi.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -31,6 +33,10 @@ int watchdogDefaultMs() { return static_cast<int>(envInt("WJ_WATCHDOG_MS", kDefa
 /// side) and posts it on `channel`.
 void postBytes(Transport& t, int me, const void* buf, size_t bytes, int dest, int tag,
                int channel) {
+    if (dest < 0 || dest >= t.size()) {
+        throw ExecError(
+            format("MPI send to invalid rank %d (from rank %d, tag %d)", dest, me, tag));
+    }
     Message msg;
     msg.src = me;
     msg.tag = tag;
@@ -45,6 +51,9 @@ void postBytes(Transport& t, int me, const void* buf, size_t bytes, int dest, in
 /// the actual source rank.
 int takeInto(Transport& t, int me, void* buf, size_t bytes, int src, int tag, int channel,
              int timeoutMs, const char* what, trace::Span* span) {
+    if (src != kAnySource && (src < 0 || src >= t.size())) {
+        throw ExecError(format("rank %d: MPI recv from invalid rank %d (tag %d)", me, src, tag));
+    }
     const Message msg = t.take(me, src, tag, channel, timeoutMs);
     if (span) span->arg(0, "peer", msg.src);  // resolve ANY to the actual source
     if (msg.data.size() != bytes) {
@@ -53,7 +62,7 @@ int takeInto(Transport& t, int me, void* buf, size_t bytes, int src, int tag, in
             "bytes, got %zu",
             what, me, msg.src, tag, t.kind(), bytes, msg.data.size()));
     }
-    std::memcpy(buf, msg.data.data(), bytes);
+    if (bytes > 0) std::memcpy(buf, msg.data.data(), bytes);  // empty data() may be null
     return msg.src;
 }
 
@@ -72,6 +81,87 @@ std::string srcName(int src) {
     return src == kAnySource ? std::string("ANY") : std::to_string(src);
 }
 
+// ---------------------------------------------------------------- Mailbox
+
+void Mailbox::push(Message msg, bool duplicate) {
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        if (duplicate) q_.push_back(msg);
+        q_.push_back(std::move(msg));
+        cell_->depth.store(static_cast<int32_t>(q_.size()), std::memory_order_relaxed);
+    }
+    progress_->fetch_add(1, std::memory_order_relaxed);
+    // Notifying after the unlock is safe: a receiver can only be between
+    // its predicate check and its wait while holding m_, which the enqueue
+    // above also required — so the message is either seen by the check or
+    // the wakeup arrives after the wait began.
+    cv_.notify_all();
+}
+
+void Mailbox::abort(std::string text) {
+    // Under the lock: a rank that has just checked aborted_ but not yet
+    // blocked would otherwise miss the wakeup and hang forever.
+    std::lock_guard<std::mutex> lock(m_);
+    if (aborted_) return;
+    aborted_ = true;
+    abortText_ = std::move(text);
+    cv_.notify_all();
+}
+
+void Mailbox::clear() {
+    std::lock_guard<std::mutex> lock(m_);
+    q_.clear();
+    aborted_ = false;
+    abortText_.clear();
+    cell_->depth.store(0, std::memory_order_relaxed);
+}
+
+Message Mailbox::take(int me, int src, int tag, int channel, int timeoutMs, int blockedState) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
+    bool timedOut = false;
+    std::unique_lock<std::mutex> lock(m_);
+    for (;;) {
+        if (aborted_) {
+            const std::string where =
+                blockedState == kRankBlockedBarrier
+                    ? std::string("barrier")
+                    : format("recv src=%s tag=%d", srcName(src).c_str(), tag);
+            throw ExecError(format("%s (rank %d was in %s, transport=%s)", abortText_.c_str(),
+                                   me, where.c_str(), owner_->kind()));
+        }
+        auto it = std::find_if(q_.begin(), q_.end(), [&](const Message& m) {
+            return m.channel == channel && m.tag == tag && (src == kAnySource || m.src == src);
+        });
+        if (it != q_.end()) {
+            Message msg = std::move(*it);
+            q_.erase(it);
+            cell_->depth.store(static_cast<int32_t>(q_.size()), std::memory_order_relaxed);
+            progress_->fetch_add(1, std::memory_order_relaxed);
+            return msg;
+        }
+        if (timedOut) {
+            const std::string peer =
+                src == kAnySource ? std::string() : owner_->peerDescription(src);
+            throw ExecError(format(
+                "MPI recv timeout at rank %d after %d ms (src=%s, tag=%d, transport=%s%s)", me,
+                timeoutMs, srcName(src).c_str(), tag, owner_->kind(),
+                peer.empty() ? "" : (", peer " + peer).c_str()));
+        }
+        // Publish what this rank is waiting for, then block: the watchdog
+        // reads these fields to build its per-rank stall dump.
+        cell_->src.store(src, std::memory_order_relaxed);
+        cell_->tag.store(tag, std::memory_order_relaxed);
+        cell_->channel.store(channel, std::memory_order_relaxed);
+        cell_->state.store(blockedState, std::memory_order_release);
+        if (timeoutMs < 0) {
+            cv_.wait(lock);
+        } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+            timedOut = true;  // one more pass over the queue before throwing
+        }
+        cell_->state.store(kRankRunning, std::memory_order_release);
+    }
+}
+
 // --------------------------------------------------------- stall watchdog
 
 bool StallRule::sample(uint64_t progress, int size, const std::function<int(int)>& stateOf) {
@@ -86,6 +176,16 @@ bool StallRule::sample(uint64_t progress, int size, const std::function<int(int)
     stalledOnce_ = stalled;
     lastProgress_ = progress;
     return fire;
+}
+
+RankWait RankCell::wait() const {
+    RankWait w;
+    w.state = state.load(std::memory_order_acquire);
+    w.src = src.load(std::memory_order_relaxed);
+    w.tag = tag.load(std::memory_order_relaxed);
+    w.channel = channel.load(std::memory_order_relaxed);
+    w.depth = depth.load(std::memory_order_relaxed);
+    return w;
 }
 
 std::string waitDump(int size, const std::function<RankWait(int)>& waitOf) {
@@ -201,9 +301,7 @@ void Comm::barrier() {
     world_->transport_->barrier(rank_);
 }
 
-void Comm::publishResult(int kind, int64_t bits) {
-    world_->transport_->publishResult(kind, bits);
-}
+void Comm::publishResult(int64_t bits) { world_->transport_->publishResult(bits); }
 
 namespace {
 

@@ -8,9 +8,9 @@
 //     point-to-point messages are moved into tag-matched mailboxes — the
 //     in-process fast path;
 //   * proc (WJ_TRANSPORT=proc, or `wjrun`): ranks are forked child
-//     processes communicating over shared-memory SPSC rings with a
-//     Unix-socket fallback for large payloads — real address-space
-//     isolation, real process death.
+//     processes communicating over shared-memory SPSC rings, large
+//     payloads streamed through in chunks — real address-space isolation,
+//     real process death.
 //
 // Semantics implemented (the subset the paper's libraries use), identical
 // across transports:
@@ -93,10 +93,10 @@ public:
     double allreduceSum(double v);
     double allreduceMax(double v);
 
-    /// Publishes this rank's primitive result for World::takeResult —
-    /// the only sanctioned way for a value to leave the world on the proc
+    /// Publishes this rank's 64-bit result for World::takeResult — the
+    /// only sanctioned way for a value to leave the world on the proc
     /// transport, where lambda captures cannot cross the fork boundary.
-    void publishResult(int kind, int64_t bits);
+    void publishResult(int64_t bits);
 
 private:
     void allreduceF64(double* buf, int n, bool isMax);
@@ -165,7 +165,7 @@ public:
 
     /// Reads and clears the result published by Comm::publishResult during
     /// the last run(); false when no rank published one.
-    bool takeResult(int* kind, int64_t* bits) { return transport_->takeResult(kind, bits); }
+    bool takeResult(int64_t* bits) { return transport_->takeResult(bits); }
 
 private:
     friend class Comm;

@@ -3,20 +3,22 @@
 // Each rank is a forked child of the launching process. The data plane is
 // a matrix of single-producer/single-consumer byte rings in anonymous
 // MAP_SHARED memory — one ring per ordered (src, dest) pair, condvar-free
-// (acquire/release atomics + bounded spin with backoff on both ends).
-// Payloads too large for a ring travel over per-rank Unix-domain stream
-// sockets instead; a per-child drainer thread multiplexes both sources
-// into a local tag-matched mailbox so recv semantics (FIFO per source,
-// ANY_SOURCE, timeouts) are identical to the threads transport.
+// (acquire/release atomics + bounded spin with backoff on both ends). The
+// ring is the only point-to-point path: a frame header goes in whole, then
+// the payload streams through in chunks as large as the free space, so a
+// message of any size — larger than the whole ring included — keeps its
+// place in the per-source FIFO. A per-child drainer thread reassembles
+// frames into the child's Mailbox (transport.h), the same tag-matching
+// engine the threads transport uses, so recv semantics (FIFO per source,
+// ANY_SOURCE, timeouts) are identical.
 //
-// The control plane is a socketpair per child to the parent: READY before
-// the world starts (every child has bound its listener first, so large
-// sends never race the listener), DONE or an error report at the end. The
-// parent supervises: it reaps children with waitpid — a rank that dies by
-// a real signal (SIGKILL from a WJ_FAULT kill rule, an external `kill`, a
-// crash) aborts the world with an error naming the child's pid and signal
-// plus the same per-rank wait dump the watchdog produces — and runs the
-// two-sample stall watchdog against the shared-memory wait states.
+// The control plane is a socketpair per child to the parent carrying DONE
+// or an error report at the end. The parent supervises: it reaps children
+// with waitpid — a rank that dies by a real signal (SIGKILL from a WJ_FAULT
+// kill rule, an external `kill`, a crash) aborts the world with an error
+// naming the child's pid and signal plus the same per-rank wait dump the
+// watchdog produces — and runs the two-sample stall watchdog against the
+// shared-memory wait states.
 //
 // Determinism contract (tested across transports): tag matching, FIFO per
 // source, collective shapes and reduction order are byte-identical to the
@@ -29,12 +31,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,8 +45,6 @@
 #endif
 #include <sys/mman.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -68,10 +65,13 @@ namespace {
 constexpr int kTagBarrierBase = 1000;
 
 // Control-protocol opcodes (child -> parent over the socketpair).
-constexpr uint8_t kCtlReady = 'R';
 constexpr uint8_t kCtlDone = 'D';
 constexpr uint8_t kCtlExecError = 'E';
 constexpr uint8_t kCtlUsageError = 'U';
+
+// How long a child's drainer keeps polling its rings with yields after the
+// last frame before it backs off to 100 us sleeps.
+constexpr auto kDrainSpin = std::chrono::microseconds(200);
 
 // Grace period between the abort flag rising and the parent SIGKILLing
 // children that have not exited on their own.
@@ -80,18 +80,13 @@ constexpr auto kAbortGrace = std::chrono::seconds(5);
 size_t alignUp(size_t v, size_t a) { return (v + a - 1) & ~(a - 1); }
 
 /// Per-rank shared cell: watchdog-visible wait state + identity.
-struct alignas(64) RankCell {
-    std::atomic<int32_t> state{kRankRunning};
-    std::atomic<int32_t> src{0};
-    std::atomic<int32_t> tag{0};
-    std::atomic<int32_t> channel{0};
-    std::atomic<int32_t> depth{0};  // local mailbox depth (for dumps)
+struct ProcCell {
+    RankCell wait;
     std::atomic<int32_t> pid{0};
 };
 
 /// Shared control block at the head of the mapping.
 struct SharedHeader {
-    std::atomic<uint32_t> go{0};
     std::atomic<uint32_t> aborted{0};
     std::atomic<uint64_t> progress{0};
     std::atomic<int32_t> deadRank{-1};
@@ -99,7 +94,6 @@ struct SharedHeader {
     std::atomic<int32_t> deadSig{0};
     std::atomic<int64_t> messages{0};
     std::atomic<int64_t> bytes{0};
-    std::atomic<int32_t> resultKind{0};
     std::atomic<int64_t> resultBits{0};
     std::atomic<uint32_t> resultSet{0};
 };
@@ -122,6 +116,7 @@ struct FrameHeader {
 };
 
 void ringCopyIn(uint8_t* data, size_t cap, uint64_t at, const void* src, size_t n) {
+    if (n == 0) return;  // an empty payload's data() may be null
     const size_t off = static_cast<size_t>(at % cap);
     const size_t first = std::min(n, cap - off);
     std::memcpy(data + off, src, first);
@@ -129,6 +124,7 @@ void ringCopyIn(uint8_t* data, size_t cap, uint64_t at, const void* src, size_t 
 }
 
 void ringCopyOut(const uint8_t* data, size_t cap, uint64_t at, void* dst, size_t n) {
+    if (n == 0) return;
     const size_t off = static_cast<size_t>(at % cap);
     const size_t first = std::min(n, cap - off);
     std::memcpy(dst, data + off, first);
@@ -151,7 +147,7 @@ bool writeAll(int fd, const void* buf, size_t n) {
 
 class ProcTransport final : public Transport {
 public:
-    explicit ProcTransport(int size) : size_(size) {}
+    explicit ProcTransport(int size) : Transport(size) {}
     ~ProcTransport() override { releaseRun(); }
 
     TransportKind kindId() const noexcept override { return TransportKind::Proc; }
@@ -160,18 +156,18 @@ public:
     void finishRun() override;
 
     void post(int dest, Message msg) override;
-    Message take(int me, int src, int tag, int channel, int timeoutMs) override;
+    Message take(int me, int src, int tag, int channel, int timeoutMs) override {
+        return mb_.take(me, src, tag, channel, timeoutMs, kRankBlockedRecv);
+    }
     void barrier(int me) override;
 
-    void publishResult(int kind, int64_t bits) override {
-        hdr_->resultKind.store(kind, std::memory_order_relaxed);
+    void publishResult(int64_t bits) override {
         hdr_->resultBits.store(bits, std::memory_order_relaxed);
         hdr_->resultSet.store(1, std::memory_order_release);
     }
-    bool takeResult(int* kind, int64_t* bits) override {
+    bool takeResult(int64_t* bits) override {
         if (!resultSet_) return false;
         resultSet_ = false;
-        *kind = resultKind_;
         *bits = resultBits_;
         return true;
     }
@@ -185,7 +181,6 @@ private:
         pid_t pid = -1;
         int fd = -1;  // parent end of the control socketpair
         bool reaped = false;
-        bool ready = false;
         bool signaled = false;
         int exitCode = 0;
         int sig = 0;
@@ -198,7 +193,7 @@ private:
 
     RingHdr* ring(int src, int dest) const {
         return reinterpret_cast<RingHdr*>(ringBase_ +
-                                          (static_cast<size_t>(src) * size_ + dest) *
+                                          (static_cast<size_t>(src) * size() + dest) *
                                               ringStride_);
     }
     uint8_t* ringData(RingHdr* r) const {
@@ -207,14 +202,10 @@ private:
 
     // ---- child side ----------------------------------------------------
     [[noreturn]] void childMain(int rank, const std::function<void(int)>& body);
-    void deliverLocal(Message msg);
     void ringSend(int dest, const Message& msg);
-    void socketSend(int dest, const Message& msg);
     void drainLoop();
     bool drainRings();
-    bool drainSockets();
     void publishAbortLocally();
-    [[noreturn]] void childAbortExit(const std::string& why);
 
     // ---- parent side ---------------------------------------------------
     void supervise(int watchdogMs);
@@ -224,24 +215,20 @@ private:
     std::string deadChildReport() const;
     std::string rankStatus(int r) const;
 
-    int size_;
-
     // Accumulated across runs (stats() contract: since construction).
     CommStats total_;
     std::atomic<bool> watchdogFired_{false};
     bool resultSet_ = false;
-    int resultKind_ = 0;
     int64_t resultBits_ = 0;
 
     // Per-run shared mapping.
     SharedHeader* hdr_ = nullptr;
-    RankCell* cells_ = nullptr;
+    ProcCell* cells_ = nullptr;
     uint8_t* ringBase_ = nullptr;
     size_t ringBytes_ = 0;   // data bytes per directed ring
     size_t ringStride_ = 0;  // sizeof(RingHdr) + ringBytes_
     void* shm_ = nullptr;
     size_t shmLen_ = 0;
-    std::string runDir_;
     std::string tracePath_;  // parent's trace destination at run start
 
     // Parent-side per-run state.
@@ -252,15 +239,15 @@ private:
     // Child-side state (fresh copy-on-write after every fork).
     int childRank_ = -1;
     int ctlFd_ = -1;
-    int listenFd_ = -1;
-    std::vector<int> sendFd_;
-    std::vector<int> connFds_;
-    std::vector<std::vector<uint8_t>> connBufs_;
-    std::mutex mbM_;
-    std::condition_variable mbCv_;
-    std::deque<Message> mb_;
-    bool localAbort_ = false;
-    std::string abortText_;
+    Mailbox mb_;
+    /// The frame each source's ring is part-way through (drainer only):
+    /// resized once to the header's length, filled chunk by chunk.
+    struct Partial {
+        Message msg;
+        size_t got = 0;
+        bool open = false;
+    };
+    std::vector<Partial> partial_;
     std::atomic<bool> drainStop_{false};
     std::thread drainer_;
 };
@@ -274,13 +261,13 @@ void ProcTransport::setupRun() {
     // stays under 64 MiB at large rank counts (cluster-shaped worlds).
     size_t rb = 256u << 10;
     const size_t budget = 64u << 20;
-    while (rb > 4096 && rb * static_cast<size_t>(size_) * size_ > budget) rb /= 2;
+    while (rb > 4096 && rb * static_cast<size_t>(size()) * size() > budget) rb /= 2;
     ringBytes_ = rb;
     ringStride_ = sizeof(RingHdr) + ringBytes_;
 
     const size_t hdrEnd = alignUp(sizeof(SharedHeader), 64);
-    const size_t cellsEnd = hdrEnd + alignUp(sizeof(RankCell) * size_, 64);
-    shmLen_ = cellsEnd + ringStride_ * static_cast<size_t>(size_) * size_;
+    const size_t cellsEnd = hdrEnd + alignUp(sizeof(ProcCell) * size(), 64);
+    shmLen_ = cellsEnd + ringStride_ * static_cast<size_t>(size()) * size();
     shm_ = ::mmap(nullptr, shmLen_, PROT_READ | PROT_WRITE,
                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
     if (shm_ == MAP_FAILED) {
@@ -290,17 +277,11 @@ void ProcTransport::setupRun() {
     }
     uint8_t* base = static_cast<uint8_t*>(shm_);
     hdr_ = new (base) SharedHeader();
-    cells_ = reinterpret_cast<RankCell*>(base + hdrEnd);
-    for (int r = 0; r < size_; ++r) new (cells_ + r) RankCell();
+    cells_ = reinterpret_cast<ProcCell*>(base + hdrEnd);
+    for (int r = 0; r < size(); ++r) new (cells_ + r) ProcCell();
     ringBase_ = base + cellsEnd;
-    for (int s = 0; s < size_; ++s)
-        for (int d = 0; d < size_; ++d) new (ring(s, d)) RingHdr();
-
-    char dir[] = "/tmp/wjproc.XXXXXX";
-    if (!::mkdtemp(dir)) {
-        throw ExecError(format("proc transport: mkdtemp failed: %s", std::strerror(errno)));
-    }
-    runDir_ = dir;
+    for (int s = 0; s < size(); ++s)
+        for (int d = 0; d < size(); ++d) new (ring(s, d)) RingHdr();
 }
 
 void ProcTransport::releaseRun() {
@@ -315,13 +296,6 @@ void ProcTransport::releaseRun() {
         cells_ = nullptr;
         ringBase_ = nullptr;
     }
-    if (!runDir_.empty()) {
-        for (int r = 0; r < size_; ++r) {
-            ::unlink((runDir_ + "/r" + std::to_string(r) + ".sock").c_str());
-        }
-        ::rmdir(runDir_.c_str());
-        runDir_.clear();
-    }
 }
 
 // ------------------------------------------------------------ run (parent)
@@ -335,8 +309,8 @@ void ProcTransport::run(const std::function<void(int)>& body, int watchdogMs) {
     tracePath_ = trace::Tracer::instance().isEnabled() ? trace::Tracer::instance().path()
                                                        : std::string();
 
-    children_.resize(static_cast<size_t>(size_));
-    for (int r = 0; r < size_; ++r) {
+    children_.resize(static_cast<size_t>(size()));
+    for (int r = 0; r < size(); ++r) {
         int sv[2];
         if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
             hdr_->aborted.store(1);
@@ -383,7 +357,6 @@ void ProcTransport::run(const std::function<void(int)>& body, int watchdogMs) {
     total_.bytes += hdr_->bytes.load(std::memory_order_relaxed);
     if (hdr_->resultSet.load(std::memory_order_acquire)) {
         resultSet_ = true;
-        resultKind_ = hdr_->resultKind.load(std::memory_order_relaxed);
         resultBits_ = hdr_->resultBits.load(std::memory_order_relaxed);
     }
 
@@ -395,7 +368,6 @@ void ProcTransport::run(const std::function<void(int)>& body, int watchdogMs) {
 
 void ProcTransport::supervise(int watchdogMs) {
     using clock = std::chrono::steady_clock;
-    bool goSent = false;
     bool graceArmed = false;
     clock::time_point graceDeadline{};
 
@@ -465,35 +437,25 @@ void ProcTransport::supervise(int watchdogMs) {
             }
         }
 
-        // 3. Start the world once every child bound its listener.
-        if (!goSent) {
-            bool allReady = true;
-            for (const ChildState& c : children_) allReady = allReady && c.ready;
-            if (allReady && !children_.empty()) {
-                hdr_->go.store(1, std::memory_order_release);
-                goSent = true;
-            }
-        }
-
-        // 4. Stall watchdog.
-        if (watchdogMs > 0 && goSent && !hdr_->aborted.load() && clock::now() >= nextSample) {
+        // 3. Stall watchdog.
+        if (watchdogMs > 0 && !hdr_->aborted.load() && clock::now() >= nextSample) {
             nextSample = clock::now() + std::chrono::milliseconds(std::max(1, watchdogMs / 2));
             const bool stalled =
-                rule.sample(hdr_->progress.load(std::memory_order_relaxed), size_, [&](int r) {
+                rule.sample(hdr_->progress.load(std::memory_order_relaxed), size(), [&](int r) {
                     if (children_[static_cast<size_t>(r)].reaped) return kRankDone;  // dead = quiet
-                    return static_cast<int>(cells_[r].state.load(std::memory_order_acquire));
+                    return static_cast<int>(cells_[r].wait.state.load(std::memory_order_acquire));
                 });
             if (stalled) {
                 watchdogFired_.store(true);
                 if (!primaryErr_) {
                     primaryErr_ = std::make_exception_ptr(ExecError(stallReport(
-                        watchdogMs, "proc", size_, [&](int r) { return waitOf(r); })));
+                        watchdogMs, "proc", size(), [&](int r) { return waitOf(r); })));
                 }
                 hdr_->aborted.store(1, std::memory_order_release);
             }
         }
 
-        // 5. Abort grace: children observe the flag and exit on their own;
+        // 4. Abort grace: children observe the flag and exit on their own;
         // anything still alive after the grace period is SIGKILLed.
         if (hdr_->aborted.load()) {
             if (!graceArmed) {
@@ -546,11 +508,6 @@ void ProcTransport::parseControl(ChildState& c) {
     size_t at = 0;
     while (at < c.buf.size()) {
         const uint8_t op = c.buf[at];
-        if (op == kCtlReady) {
-            c.ready = true;
-            ++at;
-            continue;
-        }
         if (op == kCtlDone) {
             ++at;
             continue;
@@ -592,13 +549,7 @@ std::string ProcTransport::rankStatus(int r) const {
 }
 
 RankWait ProcTransport::waitOf(int r) const {
-    const RankCell& c = cells_[r];
-    RankWait w;
-    w.state = c.state.load(std::memory_order_acquire);
-    w.src = c.src.load();
-    w.tag = c.tag.load();
-    w.channel = c.channel.load();
-    w.depth = c.depth.load(std::memory_order_relaxed);
+    RankWait w = cells_[r].wait.wait();
     w.peer = rankStatus(r);
     return w;
 }
@@ -610,17 +561,17 @@ std::string ProcTransport::deadChildReport() const {
     return format("MiniMPI proc transport: rank %d (pid %d) died: killed by signal %d (%s) — "
                   "aborting world. Per-rank wait state:%s",
                   r, pid, sig, strsignal(sig),
-                  waitDump(size_, [&](int rank) { return waitOf(rank); }).c_str());
+                  waitDump(size(), [&](int rank) { return waitOf(rank); }).c_str());
 }
 
 std::string ProcTransport::peerDescription(int rank) const {
-    if (!cells_ || rank < 0 || rank >= size_) return "";
+    if (!cells_ || rank < 0 || rank >= size()) return "";
     const int pid = cells_[rank].pid.load(std::memory_order_acquire);
     if (hdr_ && hdr_->deadRank.load() == rank) {
         return format("pid %d, killed by signal %d (%s)", pid, hdr_->deadSig.load(),
                       strsignal(hdr_->deadSig.load()));
     }
-    const int st = cells_[rank].state.load(std::memory_order_acquire);
+    const int st = cells_[rank].wait.state.load(std::memory_order_acquire);
     return format("pid %d, %s", pid, st == kRankDone ? "finished" : "alive");
 }
 
@@ -634,8 +585,8 @@ void ProcTransport::childMain(int rank, const std::function<void(int)>& body) {
     __fpurge(stdout);
 #endif
 
-    // Writes to peers that died mid-stream must surface as EPIPE, not kill
-    // the whole child silently.
+    // A write to the control socket after the parent went away must surface
+    // as EPIPE, not kill the child silently.
     ::signal(SIGPIPE, SIG_IGN);
 
     // WJ_FAULT kill rules deliver a REAL SIGKILL in a process rank — the
@@ -647,52 +598,21 @@ void ProcTransport::childMain(int rank, const std::function<void(int)>& body) {
         trace::Tracer::instance().enable(tracePath_ + ".rank" + std::to_string(rank));
     }
 
-    sendFd_.assign(static_cast<size_t>(size_), -1);
-    connFds_.clear();
-    connBufs_.clear();
+    mb_.attach(this, &cells_[rank].wait, &hdr_->progress);
     mb_.clear();
-    localAbort_ = false;
+    partial_.assign(static_cast<size_t>(size()), Partial{});
     drainStop_.store(false);
 
-    // Bind + listen BEFORE reporting ready: once the parent raises `go`,
-    // any peer may connect for a large send.
-    const std::string sockPath = runDir_ + "/r" + std::to_string(rank) + ".sock";
-    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", sockPath.c_str());
-    bool bound = listenFd_ >= 0 &&
-                 ::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
-                 ::listen(listenFd_, size_) == 0;
-    if (bound) ::fcntl(listenFd_, F_SETFL, O_NONBLOCK);
-
-    int exitCode = 0;
-    if (!bound) {
-        const std::string text = format("rank %d: proc transport could not bind %s: %s", rank,
-                                        sockPath.c_str(), std::strerror(errno));
-        hdr_->aborted.store(1, std::memory_order_release);
-        const uint32_t len = static_cast<uint32_t>(text.size());
-        uint8_t op = kCtlExecError;
-        writeAll(ctlFd_, &op, 1);
-        writeAll(ctlFd_, &len, sizeof len);
-        writeAll(ctlFd_, text.data(), len);
-        ::_exit(1);
-    }
-
-    uint8_t ready = kCtlReady;
-    writeAll(ctlFd_, &ready, 1);
-    while (!hdr_->go.load(std::memory_order_acquire)) {
-        if (hdr_->aborted.load()) ::_exit(1);
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-
+    // The rings live in the mapping every child inherited, so a peer may
+    // already be writing to us: start draining before the body runs.
     drainer_ = std::thread([this] { drainLoop(); });
 
+    int exitCode = 0;
     std::string errText;
     uint8_t errOp = kCtlExecError;
     try {
         body(rank);
-        cells_[rank].state.store(kRankDone, std::memory_order_release);
+        cells_[rank].wait.state.store(kRankDone, std::memory_order_release);
     } catch (const UsageError& e) {
         errOp = kCtlUsageError;
         errText = e.what();
@@ -726,22 +646,6 @@ void ProcTransport::childMain(int rank, const std::function<void(int)>& body) {
     ::_exit(exitCode);
 }
 
-void ProcTransport::deliverLocal(Message msg) {
-    {
-        std::lock_guard<std::mutex> lock(mbM_);
-        mb_.push_back(std::move(msg));
-    }
-    cells_[childRank_].depth.fetch_add(1, std::memory_order_relaxed);
-    hdr_->progress.fetch_add(1, std::memory_order_relaxed);
-    mbCv_.notify_all();
-}
-
-void ProcTransport::childAbortExit(const std::string& why) {
-    // Unrecoverable transport-level failure inside a rank: report and die;
-    // the parent turns this into the world's error.
-    throw ExecError(why);
-}
-
 void ProcTransport::ringSend(int dest, const Message& msg) {
     RingHdr* r = ring(childRank_, dest);
     uint8_t* data = ringData(r);
@@ -750,26 +654,43 @@ void ProcTransport::ringSend(int dest, const Message& msg) {
     fh.src = msg.src;
     fh.tag = msg.tag;
     fh.channel = msg.channel;
-    const size_t need = sizeof fh + msg.data.size();
+    // `sent` counts frame bytes published so far. The header goes in whole
+    // (the drainer reads it in one piece); the payload follows in chunks as
+    // large as the free space, each published by one head store.
+    const size_t total = sizeof fh + msg.data.size();
+    size_t sent = 0;
     int spins = 0;
-    for (;;) {
+    while (sent < total) {
         const uint64_t head = r->head.load(std::memory_order_relaxed);
         const uint64_t tail = r->tail.load(std::memory_order_acquire);
-        if (ringBytes_ - static_cast<size_t>(head - tail) >= need) {
-            ringCopyIn(data, ringBytes_, head, &fh, sizeof fh);
-            ringCopyIn(data, ringBytes_, head + sizeof fh, msg.data.data(), msg.data.size());
-            r->head.store(head + need, std::memory_order_release);
-            return;
+        size_t room = ringBytes_ - static_cast<size_t>(head - tail);
+        uint64_t at = head;
+        if (sent == 0 && room >= sizeof fh) {
+            ringCopyIn(data, ringBytes_, at, &fh, sizeof fh);
+            at += sizeof fh;
+            room -= sizeof fh;
+            sent = sizeof fh;
+        }
+        if (sent > 0) {
+            const size_t n = std::min(room, total - sent);
+            ringCopyIn(data, ringBytes_, at, msg.data.data() + (sent - sizeof fh), n);
+            at += n;
+            sent += n;
+        }
+        if (at != head) {
+            r->head.store(at, std::memory_order_release);
+            spins = 0;
+            continue;
         }
         // Ring full: the receiver's drainer frees space continuously unless
         // it is gone. A finished rank stops draining — drop quietly, the
         // message is unobservable. A dead world aborts the send.
         if (hdr_->aborted.load()) {
-            childAbortExit(format(
+            throw ExecError(format(
                 "MPI world aborted (rank %d blocked sending to rank %d, transport=proc)",
                 childRank_, dest));
         }
-        if (cells_[dest].state.load(std::memory_order_acquire) == kRankDone) return;
+        if (cells_[dest].wait.state.load(std::memory_order_acquire) == kRankDone) return;
         if (++spins < 256) {
             std::this_thread::yield();
         } else {
@@ -778,50 +699,7 @@ void ProcTransport::ringSend(int dest, const Message& msg) {
     }
 }
 
-void ProcTransport::socketSend(int dest, const Message& msg) {
-    int& fd = sendFd_[static_cast<size_t>(dest)];
-    if (fd < 0) {
-        const std::string path = runDir_ + "/r" + std::to_string(dest) + ".sock";
-        for (int attempt = 0;; ++attempt) {
-            fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            sockaddr_un addr{};
-            addr.sun_family = AF_UNIX;
-            std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
-            if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
-                break;
-            }
-            if (fd >= 0) ::close(fd);
-            fd = -1;
-            if (cells_[dest].state.load(std::memory_order_acquire) == kRankDone) return;
-            if (hdr_->aborted.load() || attempt > 500) {
-                childAbortExit(format("rank %d: proc transport could not connect to rank %d "
-                                      "(%s), transport=proc",
-                                      childRank_, dest, std::strerror(errno)));
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-    }
-    FrameHeader fh;
-    fh.len = static_cast<uint32_t>(msg.data.size());
-    fh.src = msg.src;
-    fh.tag = msg.tag;
-    fh.channel = msg.channel;
-    if (!writeAll(fd, &fh, sizeof fh) ||
-        !writeAll(fd, msg.data.data(), msg.data.size())) {
-        ::close(fd);
-        fd = -1;
-        if (cells_[dest].state.load(std::memory_order_acquire) == kRankDone) return;
-        childAbortExit(format(
-            "rank %d: proc transport lost the socket to rank %d (%s; peer %s)", childRank_,
-            dest, std::strerror(errno), peerDescription(dest).c_str()));
-    }
-}
-
 void ProcTransport::post(int dest, Message msg) {
-    if (dest < 0 || dest >= size_) {
-        throw ExecError(format("MPI send to invalid rank %d (from rank %d, tag %d)", dest,
-                               msg.src, msg.tag));
-    }
     // Barrier traffic exists only on this transport (the threads barrier is
     // a condvar), so it is exempt from traffic accounting AND from fault
     // message rules — otherwise stats() and WJ_FAULT counting could never
@@ -846,124 +724,77 @@ void ProcTransport::post(int dest, Message msg) {
         }
     }
     if (dest == childRank_) {
-        if (duplicate) deliverLocal(msg);
-        deliverLocal(std::move(msg));
+        mb_.push(std::move(msg), duplicate);
         return;
     }
-    const size_t need = sizeof(FrameHeader) + msg.data.size();
-    const int copies = duplicate ? 2 : 1;
-    for (int i = 0; i < copies; ++i) {
-        if (need <= ringBytes_ / 2) {
-            ringSend(dest, msg);
-        } else {
-            socketSend(dest, msg);
-        }
-    }
+    if (duplicate) ringSend(dest, msg);
+    ringSend(dest, msg);
 }
 
 bool ProcTransport::drainRings() {
-    bool got = false;
-    for (int s = 0; s < size_; ++s) {
+    bool moved = false;  // any bytes consumed: a part-way frame counts too
+    for (int s = 0; s < size(); ++s) {
         if (s == childRank_) continue;
         RingHdr* r = ring(s, childRank_);
         const uint8_t* data = ringData(r);
+        Partial& p = partial_[static_cast<size_t>(s)];
         for (;;) {
             const uint64_t head = r->head.load(std::memory_order_acquire);
             uint64_t tail = r->tail.load(std::memory_order_relaxed);
             if (tail == head) break;
-            FrameHeader fh;
-            ringCopyOut(data, ringBytes_, tail, &fh, sizeof fh);
-            Message msg;
-            msg.src = fh.src;
-            msg.tag = fh.tag;
-            msg.channel = fh.channel;
-            msg.data.resize(fh.len);
-            ringCopyOut(data, ringBytes_, tail + sizeof fh, msg.data.data(), fh.len);
-            r->tail.store(tail + sizeof fh + fh.len, std::memory_order_release);
-            deliverLocal(std::move(msg));
-            got = true;
-        }
-    }
-    return got;
-}
-
-bool ProcTransport::drainSockets() {
-    bool got = false;
-    // Accept pending large-payload connections.
-    for (;;) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) break;
-        ::fcntl(fd, F_SETFL, O_NONBLOCK);
-        connFds_.push_back(fd);
-        connBufs_.emplace_back();
-    }
-    for (size_t i = 0; i < connFds_.size(); ++i) {
-        if (connFds_[i] < 0) continue;
-        std::vector<uint8_t>& buf = connBufs_[i];
-        for (;;) {
-            uint8_t tmp[1 << 16];
-            const ssize_t n = ::read(connFds_[i], tmp, sizeof tmp);
-            if (n > 0) {
-                buf.insert(buf.end(), tmp, tmp + n);
-                continue;
+            if (!p.open) {
+                // Published bytes at a frame boundary always hold a whole
+                // header: ringSend never publishes one in pieces.
+                FrameHeader fh;
+                ringCopyOut(data, ringBytes_, tail, &fh, sizeof fh);
+                tail += sizeof fh;
+                p.msg = Message{fh.src, fh.tag, fh.channel, {}};
+                p.msg.data.resize(fh.len);
+                p.got = 0;
+                p.open = true;
             }
-            if (n == 0) {
-                ::close(connFds_[i]);
-                connFds_[i] = -1;
-                break;
+            const size_t n =
+                std::min(static_cast<size_t>(head - tail), p.msg.data.size() - p.got);
+            ringCopyOut(data, ringBytes_, tail, p.msg.data.data() + p.got, n);
+            p.got += n;
+            r->tail.store(tail + n, std::memory_order_release);
+            moved = true;
+            if (p.got == p.msg.data.size()) {
+                p.open = false;
+                mb_.push(std::move(p.msg));
             }
-            if (errno == EINTR) continue;
-            break;  // EAGAIN
         }
-        size_t at = 0;
-        while (buf.size() - at >= sizeof(FrameHeader)) {
-            FrameHeader fh;
-            std::memcpy(&fh, buf.data() + at, sizeof fh);
-            if (buf.size() - at < sizeof fh + fh.len) break;
-            Message msg;
-            msg.src = fh.src;
-            msg.tag = fh.tag;
-            msg.channel = fh.channel;
-            msg.data.assign(buf.begin() + static_cast<ptrdiff_t>(at + sizeof fh),
-                            buf.begin() + static_cast<ptrdiff_t>(at + sizeof fh + fh.len));
-            at += sizeof fh + fh.len;
-            deliverLocal(std::move(msg));
-            got = true;
-        }
-        if (at > 0) buf.erase(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(at));
     }
-    return got;
+    return moved;
 }
 
 void ProcTransport::publishAbortLocally() {
-    std::string text;
     const int dead = hdr_->deadRank.load();
-    if (dead >= 0) {
-        text = format("MPI world aborted: rank %d (pid %d) died, killed by signal %d (%s)",
-                      dead, hdr_->deadPid.load(), hdr_->deadSig.load(),
-                      strsignal(hdr_->deadSig.load()));
-    } else {
-        text = "MPI world aborted by another rank";
-    }
-    {
-        std::lock_guard<std::mutex> lock(mbM_);
-        if (localAbort_) return;
-        localAbort_ = true;
-        abortText_ = std::move(text);
-    }
-    mbCv_.notify_all();
+    mb_.abort(dead >= 0 ? format("MPI world aborted: rank %d (pid %d) died, killed by signal %d "
+                                 "(%s)",
+                                 dead, hdr_->deadPid.load(), hdr_->deadSig.load(),
+                                 strsignal(hdr_->deadSig.load()))
+                        : std::string("MPI world aborted by another rank"));
 }
 
 void ProcTransport::drainLoop() {
-    int idle = 0;
+    // Poll with yields while traffic is recent, then back off to short
+    // sleeps: a partner that answers within the spin window (a ping-pong,
+    // a halo exchange) meets an awake drainer, an idle rank costs little.
+    using clock = std::chrono::steady_clock;
+    auto lastMoved = clock::now();
+    bool abortSeen = false;
     for (;;) {
-        bool got = drainRings();
-        got = drainSockets() || got;
-        if (hdr_->aborted.load(std::memory_order_acquire)) publishAbortLocally();
+        const bool moved = drainRings();
+        if (!abortSeen && hdr_->aborted.load(std::memory_order_acquire)) {
+            abortSeen = true;
+            publishAbortLocally();
+        }
         if (drainStop_.load(std::memory_order_acquire)) return;
-        if (got) {
-            idle = 0;
-        } else if (++idle < 64) {
+        const auto now = clock::now();
+        if (moved) {
+            lastMoved = now;
+        } else if (now - lastMoved < kDrainSpin) {
             std::this_thread::yield();
         } else {
             std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -971,76 +802,29 @@ void ProcTransport::drainLoop() {
     }
 }
 
-Message ProcTransport::take(int me, int src, int tag, int channel, int timeoutMs) {
-    if (src != kAnySource && (src < 0 || src >= size_)) {
-        throw ExecError(format("rank %d: MPI recv from invalid rank %d (tag %d)", me, src, tag));
-    }
-    RankCell& cell = cells_[me];
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
-    bool timedOut = false;
-    std::unique_lock<std::mutex> lock(mbM_);
-    for (;;) {
-        if (localAbort_) {
-            throw ExecError(format("%s (rank %d was in recv src=%s tag=%d, transport=proc)",
-                                   abortText_.c_str(), me, srcName(src).c_str(), tag));
-        }
-        auto it = std::find_if(mb_.begin(), mb_.end(), [&](const Message& m) {
-            return m.channel == channel && m.tag == tag && (src == kAnySource || m.src == src);
-        });
-        if (it != mb_.end()) {
-            Message msg = std::move(*it);
-            mb_.erase(it);
-            cell.depth.fetch_sub(1, std::memory_order_relaxed);
-            hdr_->progress.fetch_add(1, std::memory_order_relaxed);
-            return msg;
-        }
-        if (timedOut) {
-            const std::string peer =
-                src == kAnySource ? std::string() : ", peer " + peerDescription(src);
-            throw ExecError(format(
-                "MPI recv timeout at rank %d after %d ms (src=%s, tag=%d, transport=proc%s)",
-                me, timeoutMs, srcName(src).c_str(), tag, peer.c_str()));
-        }
-        cell.src.store(src, std::memory_order_relaxed);
-        cell.tag.store(tag, std::memory_order_relaxed);
-        cell.channel.store(channel, std::memory_order_relaxed);
-        cell.state.store(kRankBlockedRecv, std::memory_order_release);
-        if (timeoutMs < 0) {
-            mbCv_.wait(lock);
-        } else if (mbCv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-            timedOut = true;  // one more pass over the queue before throwing
-        }
-        cell.state.store(kRankRunning, std::memory_order_release);
-    }
-}
-
 /// Dissemination barrier: ceil(log2(n)) rounds; in round k, rank r signals
 /// (r + 2^k) mod n and waits for (r - 2^k) mod n, each round on its own
 /// system tag. After the last round every rank has transitively heard from
 /// every other. FIFO per (src, tag) keeps back-to-back barriers from
-/// cross-matching.
+/// cross-matching. Each round's wait shows as "blocked in barrier".
 void ProcTransport::barrier(int me) {
-    if (size_ == 1) {
+    if (size() == 1) {
         hdr_->progress.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    cells_[me].state.store(kRankBlockedBarrier, std::memory_order_release);
     uint8_t token = 1;
     int round = 0;
-    for (int dist = 1; dist < size_; dist <<= 1, ++round) {
-        const int to = (me + dist) % size_;
-        const int from = (me - dist % size_ + size_) % size_;
+    for (int dist = 1; dist < size(); dist <<= 1, ++round) {
+        const int to = (me + dist) % size();
+        const int from = (me - dist % size() + size()) % size();
         Message msg;
         msg.src = me;
         msg.tag = kTagBarrierBase + round;
         msg.channel = 1;
         msg.data.assign(&token, &token + 1);
         post(to, std::move(msg));
-        Message got = take(me, from, kTagBarrierBase + round, 1, -1);
-        (void)got;
-        cells_[me].state.store(kRankBlockedBarrier, std::memory_order_release);
+        mb_.take(me, from, kTagBarrierBase + round, 1, -1, kRankBlockedBarrier);
     }
-    cells_[me].state.store(kRankRunning, std::memory_order_release);
 }
 
 // ------------------------------------------------------------ trace merge
@@ -1048,7 +832,7 @@ void ProcTransport::barrier(int me) {
 void ProcTransport::finishRun() {
     if (tracePath_.empty()) return;
     std::vector<std::string> rankFiles;
-    for (int r = 0; r < size_; ++r) {
+    for (int r = 0; r < size(); ++r) {
         const std::string f = tracePath_ + ".rank" + std::to_string(r);
         if (::access(f.c_str(), R_OK) == 0) rankFiles.push_back(f);
     }

@@ -1,13 +1,12 @@
 // ThreadTransport: the original in-process MiniMPI path — ranks as OS
-// threads, tag-matched mailboxes under mutex+condvar that each message is
-// moved into, a generation-counted condvar barrier, and the two-sample stall
-// watchdog. This is the fast path; the process transport trades its speed
-// for real address-space isolation.
+// threads, one shared Mailbox per rank that each message is moved into, a
+// generation-counted condvar barrier, and the two-sample stall watchdog.
+// This is the fast path; the process transport trades its speed for real
+// address-space isolation.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -26,25 +25,28 @@ namespace {
 class ThreadTransport final : public Transport {
 public:
     explicit ThreadTransport(int size)
-        : size_(size), boxes_(static_cast<size_t>(std::max(size, 1))),
-          waits_(static_cast<size_t>(std::max(size, 1))) {}
+        : Transport(size), boxes_(static_cast<size_t>(std::max(size, 1))),
+          waits_(static_cast<size_t>(std::max(size, 1))) {
+        for (size_t r = 0; r < boxes_.size(); ++r) boxes_[r].attach(this, &waits_[r], &progress_);
+    }
 
     TransportKind kindId() const noexcept override { return TransportKind::Threads; }
 
     void run(const std::function<void(int)>& body, int watchdogMs) override;
 
     void post(int dest, Message msg) override;
-    Message take(int me, int src, int tag, int channel, int timeoutMs) override;
+    Message take(int me, int src, int tag, int channel, int timeoutMs) override {
+        return boxes_[static_cast<size_t>(me)].take(me, src, tag, channel, timeoutMs,
+                                                    kRankBlockedRecv);
+    }
     void barrier(int me) override;
 
-    void publishResult(int kind, int64_t bits) override {
-        resultKind_.store(kind, std::memory_order_relaxed);
+    void publishResult(int64_t bits) override {
         resultBits_.store(bits, std::memory_order_relaxed);
         resultSet_.store(true, std::memory_order_release);
     }
-    bool takeResult(int* kind, int64_t* bits) override {
+    bool takeResult(int64_t* bits) override {
         if (!resultSet_.exchange(false, std::memory_order_acquire)) return false;
-        *kind = resultKind_.load(std::memory_order_relaxed);
         *bits = resultBits_.load(std::memory_order_relaxed);
         return true;
     }
@@ -58,27 +60,8 @@ public:
     bool watchdogFired() const noexcept override { return watchdogFired_.load(); }
 
 private:
-    struct Mailbox {
-        std::mutex m;
-        std::condition_variable cv;
-        std::deque<Message> q;
-    };
-
-    /// Watchdog-visible wait state of one rank thread. All fields are
-    /// atomics because the watchdog samples them from its own thread.
-    struct RankCell {
-        std::atomic<int> state{kRankRunning};
-        std::atomic<int> src{0};
-        std::atomic<int> tag{0};
-        std::atomic<int> channel{0};
-    };
-
     void abort() noexcept;
 
-    /// Rank r's wait state and mailbox depth, for the watchdog's dump.
-    RankWait waitOf(int r);
-
-    int size_;
     std::vector<Mailbox> boxes_;
     std::vector<RankCell> waits_;
 
@@ -97,7 +80,6 @@ private:
     std::atomic<int64_t> messages_{0};
     std::atomic<int64_t> bytes_{0};
 
-    std::atomic<int> resultKind_{0};
     std::atomic<int64_t> resultBits_{0};
     std::atomic<bool> resultSet_{false};
 };
@@ -105,10 +87,6 @@ private:
 // --------------------------------------------------------------- data plane
 
 void ThreadTransport::post(int dest, Message msg) {
-    if (dest < 0 || dest >= size_) {
-        throw ExecError(format("MPI send to invalid rank %d (from rank %d, tag %d)", dest,
-                               msg.src, msg.tag));
-    }
     // Traffic accounting lives here, not in Comm::send, so collective
     // internals (bcast/allreduce via sendSys) count toward bytesSent() —
     // the perf model's communication-volume input — exactly like user
@@ -132,68 +110,13 @@ void ThreadTransport::post(int dest, Message msg) {
         case fault::MsgFate::Deliver: break;
         }
     }
-    Mailbox& box = boxes_[static_cast<size_t>(dest)];
-    {
-        std::lock_guard<std::mutex> lock(box.m);
-        if (duplicate) box.q.push_back(msg);  // the one payload copy: an injected duplicate
-        box.q.push_back(std::move(msg));
-    }
-    progress_.fetch_add(1, std::memory_order_relaxed);
-    // Notifying after the unlock is safe: a receiver can only be between
-    // its predicate check and its wait while holding box.m, which the
-    // enqueue above also required — so the message is either seen by the
-    // check or the wakeup arrives after the wait began.
-    box.cv.notify_all();
-}
-
-Message ThreadTransport::take(int me, int src, int tag, int channel, int timeoutMs) {
-    if (src != kAnySource && (src < 0 || src >= size_)) {
-        throw ExecError(format("rank %d: MPI recv from invalid rank %d (tag %d)", me, src, tag));
-    }
-    Mailbox& box = boxes_[static_cast<size_t>(me)];
-    RankCell& w = waits_[static_cast<size_t>(me)];
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
-    bool timedOut = false;
-    std::unique_lock<std::mutex> lock(box.m);
-    for (;;) {
-        if (aborted_.load()) {
-            throw ExecError(format(
-                "MPI world aborted by another rank (rank %d was in recv src=%s tag=%d)", me,
-                srcName(src).c_str(), tag));
-        }
-        auto it = std::find_if(box.q.begin(), box.q.end(), [&](const Message& m) {
-            return m.channel == channel && m.tag == tag && (src == kAnySource || m.src == src);
-        });
-        if (it != box.q.end()) {
-            Message msg = std::move(*it);
-            box.q.erase(it);
-            progress_.fetch_add(1, std::memory_order_relaxed);
-            return msg;
-        }
-        if (timedOut) {
-            throw ExecError(format(
-                "MPI recv timeout at rank %d after %d ms (src=%s, tag=%d, transport=threads)",
-                me, timeoutMs, srcName(src).c_str(), tag));
-        }
-        // Publish what this rank is waiting for, then block: the watchdog
-        // reads these fields to build its per-rank stall dump.
-        w.src.store(src, std::memory_order_relaxed);
-        w.tag.store(tag, std::memory_order_relaxed);
-        w.channel.store(channel, std::memory_order_relaxed);
-        w.state.store(kRankBlockedRecv, std::memory_order_release);
-        if (timeoutMs < 0) {
-            box.cv.wait(lock);
-        } else if (box.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-            timedOut = true;  // one more pass over the queue before throwing
-        }
-        w.state.store(kRankRunning, std::memory_order_release);
-    }
+    boxes_[static_cast<size_t>(dest)].push(std::move(msg), duplicate);
 }
 
 void ThreadTransport::barrier(int me) {
     std::unique_lock<std::mutex> lock(barrierM_);
     const int64_t gen = barrierGen_;
-    if (++barrierCount_ == size_) {
+    if (++barrierCount_ == size()) {
         barrierCount_ = 0;
         ++barrierGen_;
         progress_.fetch_add(1, std::memory_order_relaxed);
@@ -213,41 +136,24 @@ void ThreadTransport::barrier(int me) {
 void ThreadTransport::abort() noexcept {
     aborted_.store(true);
     progress_.fetch_add(1, std::memory_order_relaxed);
-    // Every notification below is issued while holding the mutex its
-    // waiters wait under. Without the lock, a rank that has just evaluated
-    // its wait predicate (seeing aborted_ == false) but not yet blocked
-    // would miss the wakeup and hang forever — the notifier must serialize
-    // with the check-then-wait step, which only the mutex provides.
-    for (auto& box : boxes_) {
-        std::lock_guard<std::mutex> lock(box.m);
-        box.cv.notify_all();
-    }
+    // Every notification is issued while holding the mutex its waiters
+    // wait under (Mailbox::abort locks too). Without the lock, a rank that
+    // has just evaluated its wait predicate (seeing aborted_ == false) but
+    // not yet blocked would miss the wakeup and hang forever — the notifier
+    // must serialize with the check-then-wait step, which only the mutex
+    // provides.
+    for (auto& box : boxes_) box.abort("MPI world aborted by another rank");
     {
         std::lock_guard<std::mutex> lock(barrierM_);
         barrierCv_.notify_all();
     }
 }
 
-RankWait ThreadTransport::waitOf(int r) {
-    const RankCell& c = waits_[static_cast<size_t>(r)];
-    RankWait w;
-    w.state = c.state.load(std::memory_order_acquire);
-    w.src = c.src.load();
-    w.tag = c.tag.load();
-    w.channel = c.channel.load();
-    std::lock_guard<std::mutex> lock(boxes_[static_cast<size_t>(r)].m);
-    w.depth = static_cast<long long>(boxes_[static_cast<size_t>(r)].q.size());
-    return w;
-}
-
 void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) {
     // Reset per-run state FIRST: an aborted previous run leaves undelivered
     // messages in the mailboxes and possibly a partial barrier count; a
     // reused World must not let this run consume the dead run's state.
-    for (auto& box : boxes_) {
-        std::lock_guard<std::mutex> lock(box.m);
-        box.q.clear();
-    }
+    for (auto& box : boxes_) box.clear();
     {
         std::lock_guard<std::mutex> lock(barrierM_);
         barrierCount_ = 0;
@@ -259,11 +165,11 @@ void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) 
     resultSet_.store(false);
 
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(size_));
+    threads.reserve(static_cast<size_t>(size()));
     std::mutex errM;
     std::exception_ptr firstErr;
 
-    for (int r = 0; r < size_; ++r) {
+    for (int r = 0; r < size(); ++r) {
         threads.emplace_back([&, r] {
             try {
                 body(r);
@@ -294,14 +200,16 @@ void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) 
                 if (wdCv.wait_for(lk, tick, [&] { return wdStop; })) return;
                 if (aborted_.load()) return;
                 const bool stalled =
-                    rule.sample(progress_.load(std::memory_order_relaxed), size_, [&](int r) {
+                    rule.sample(progress_.load(std::memory_order_relaxed), size(), [&](int r) {
                         return waits_[static_cast<size_t>(r)].state.load(
                             std::memory_order_acquire);
                     });
                 if (stalled) {
                     watchdogFired_.store(true);
-                    auto err = std::make_exception_ptr(ExecError(stallReport(
-                        quantum, "threads", size_, [&](int r) { return waitOf(r); })));
+                    auto err = std::make_exception_ptr(ExecError(
+                        stallReport(quantum, "threads", size(), [&](int r) {
+                            return waits_[static_cast<size_t>(r)].wait();
+                        })));
                     {
                         std::lock_guard<std::mutex> lock(errM);
                         if (!firstErr) firstErr = std::move(err);

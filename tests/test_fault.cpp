@@ -859,12 +859,11 @@ TEST(ProcReplayCross, CorruptedPayloadBitsMatchAcrossTransports) {
             } else {
                 int got = 0;
                 c.recv(&got, sizeof got, 0, 4);
-                c.publishResult(2, got);
+                c.publishResult(got);
             }
         });
-        int kind_ = 0;
         int64_t bits = 0;
-        EXPECT_TRUE(w.takeResult(&kind_, &bits));
+        EXPECT_TRUE(w.takeResult(&bits));
         FaultPlan::instance().disarm();
         return bits;
     };

@@ -680,27 +680,138 @@ TEST_P(XportSemantics, WorldReusableAcrossRuns) {
     }
 }
 
+namespace {
+/// The byte every pattern payload carries at offset i for sender `seed`.
+uint8_t patternByte(size_t i, int seed) { return static_cast<uint8_t>((i * 7 + seed) % 251); }
+
+std::vector<uint8_t> pattern(size_t bytes, int seed) {
+    std::vector<uint8_t> buf(bytes);
+    for (size_t i = 0; i < bytes; ++i) buf[i] = patternByte(i, seed);
+    return buf;
+}
+
+/// In-rank byte-by-byte check of a pattern payload.
+void requirePattern(const std::vector<uint8_t>& buf, int seed, const std::string& what) {
+    for (size_t i = 0; i < buf.size(); ++i) {
+        if (buf[i] != patternByte(i, seed)) require(false, what + " byte " + std::to_string(i));
+    }
+}
+} // namespace
+
 TEST_P(XportSemantics, LargePayloadCrossesTransport) {
-    // 300 kB: above the proc ring half-capacity, so on the proc transport
-    // this exercises the Unix-socket large-message path; on the threads
+    // 300 kB: more than a whole 256 KiB proc ring, so on the proc transport
+    // the frame streams through the ring in chunks; on the threads
     // transport it is one mailbox move like any other message.
     const size_t kBytes = 300000;
     World w(2, GetParam());
     w.run([&](Comm& c) {
         if (c.rank() == 0) {
-            std::vector<uint8_t> buf(kBytes);
-            for (size_t i = 0; i < kBytes; ++i) buf[i] = static_cast<uint8_t>(i * 7 % 251);
+            const std::vector<uint8_t> buf = pattern(kBytes, 0);
             c.send(buf.data(), buf.size(), 1, 2);
         } else {
             std::vector<uint8_t> buf(kBytes, 0);
             c.recv(buf.data(), buf.size(), 0, 2);
-            for (size_t i = 0; i < kBytes; ++i) {
-                require(buf[i] == static_cast<uint8_t>(i * 7 % 251),
-                        "large payload byte " + std::to_string(i));
-            }
+            requirePattern(buf, 0, "large payload");
         }
     });
     EXPECT_EQ(static_cast<int64_t>(kBytes), w.bytesSent());
+}
+
+TEST_P(XportSemantics, PayloadOfManyRingsArrivesIntact) {
+    // 1 MiB is four whole proc rings: the sender can only finish while the
+    // receiver's drainer empties the ring under it, chunk by chunk.
+    const size_t kBytes = 1u << 20;
+    World w(2, GetParam());
+    w.run([&](Comm& c) {
+        if (c.rank() == 0) {
+            const std::vector<uint8_t> buf = pattern(kBytes, 3);
+            c.send(buf.data(), buf.size(), 1, 9);
+        } else {
+            std::vector<uint8_t> buf(kBytes, 0);
+            c.recv(buf.data(), buf.size(), 0, 9);
+            requirePattern(buf, 3, "1 MiB payload");
+        }
+    });
+    EXPECT_EQ(static_cast<int64_t>(kBytes), w.bytesSent());
+}
+
+TEST_P(XportSemantics, FifoHoldsAcrossPayloadSizes) {
+    // MPI's non-overtaking rule: messages from one sender with one tag
+    // arrive in send order whatever their sizes. Rank 0 sends 2 MiB on
+    // tag 7, a 4-byte marker on tag 8, then an empty message and 4 bytes
+    // on tag 7; rank 1 takes the marker first, so every tag-7 message is
+    // in flight together and the small ones must not overtake the large
+    // one. Twenty fresh worlds, because an ordering race loses only some
+    // of the time.
+    const size_t kLarge = 2u << 20;
+    World w(2, GetParam());
+    for (int iter = 0; iter < 20; ++iter) {
+        w.run([&](Comm& c) {
+            if (c.rank() == 0) {
+                const std::vector<uint8_t> big = pattern(kLarge, 1);
+                const int marker = 8, small = 7;
+                c.send(big.data(), big.size(), 1, 7);
+                c.send(&marker, sizeof marker, 1, 8);
+                c.send(nullptr, 0, 1, 7);
+                c.send(&small, sizeof small, 1, 7);
+            } else {
+                int marker = 0, small = 0;
+                c.recv(&marker, sizeof marker, 0, 8);
+                std::vector<uint8_t> big(kLarge, 0);
+                c.recv(big.data(), big.size(), 0, 7);
+                c.recv(nullptr, 0, 0, 7);
+                c.recv(&small, sizeof small, 0, 7);
+                require(marker == 8 && small == 7, "marker and small payloads");
+                requirePattern(big, 1, "2 MiB payload");
+            }
+        });
+    }
+}
+
+TEST_P(XportSemantics, ChunkedRingExchangeAt32Ranks) {
+    // At 32 ranks each proc ring shrinks to 64 KiB, so every 200 KiB
+    // message of this all-ranks exchange is chunked — 32 senders streaming
+    // at once into 32 drainers.
+    const int P = 32;
+    const size_t kBytes = 200u << 10;
+    World w(P, GetParam());
+    w.run([&](Comm& c) {
+        const int up = (c.rank() + 1) % P;
+        const int down = (c.rank() + P - 1) % P;
+        const std::vector<uint8_t> mine = pattern(kBytes, c.rank());
+        std::vector<uint8_t> fromDown(kBytes, 0);
+        c.sendrecv(mine.data(), mine.size(), up, fromDown.data(), fromDown.size(), down, 4);
+        requirePattern(fromDown, down, "ring halo from rank " + std::to_string(down));
+    });
+    EXPECT_EQ(static_cast<int64_t>(P) * static_cast<int64_t>(kBytes), w.bytesSent());
+}
+
+TEST_P(XportSemantics, StallDumpShowsBarrierWaiters) {
+    // Ranks 0 and 1 wait in a barrier rank 2 never joins; rank 2 waits for
+    // a message nobody sends. Both transports must dump the barrier
+    // waiters as "blocked in barrier", whatever the barrier is built from.
+    World w(3, GetParam());
+    w.setWatchdogMillis(200);
+    try {
+        w.run([](Comm& c) {
+            if (c.rank() < 2) {
+                c.barrier();
+            } else {
+                int got = 0;
+                c.recv(&got, sizeof got, 0, 9);
+            }
+        });
+        FAIL() << "expected the watchdog to break the stall";
+    } catch (const ExecError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("watchdog"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("rank 0: blocked in barrier"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("rank 1: blocked in barrier"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("rank 2: blocked in recv(src=0, tag=9, user channel)"),
+                  std::string::npos)
+            << msg;
+    }
+    EXPECT_TRUE(w.watchdogFired());
 }
 
 TEST_P(XportSemantics, SizeMismatchThrowsWithTransportContext) {
@@ -768,17 +879,15 @@ TEST_P(XportSemantics, PublishedResultCrossesTheWorldBoundary) {
         if (c.rank() == 0) {
             int64_t bits = 0;
             std::memcpy(&bits, &sum, sizeof sum);
-            c.publishResult(5, bits);
+            c.publishResult(bits);
         }
     });
-    int kind = 0;
     int64_t bits = 0;
-    ASSERT_TRUE(w.takeResult(&kind, &bits));
-    EXPECT_EQ(5, kind);
+    ASSERT_TRUE(w.takeResult(&bits));
     double sum = 0;
     std::memcpy(&sum, &bits, sizeof sum);
     EXPECT_DOUBLE_EQ(3.0, sum);
-    EXPECT_FALSE(w.takeResult(&kind, &bits)) << "takeResult must clear the slot";
+    EXPECT_FALSE(w.takeResult(&bits)) << "takeResult must clear the slot";
 }
 
 TEST_P(XportSemantics, InstrumentationCounts) {

@@ -217,11 +217,10 @@ TEST(ProcPoolWidth, ForkedRankKeepsTheParentsWidth) {
         const double mine =
             static_cast<double>(chunks.load() * 100 + ThreadPool::instance().dispatches());
         const double hi = c.allreduceMax(mine), lo = -c.allreduceMax(-mine);
-        if (c.rank() == 0) c.publishResult(0, hi == lo ? static_cast<int64_t>(hi) : -1);
+        if (c.rank() == 0) c.publishResult(hi == lo ? static_cast<int64_t>(hi) : -1);
     });
-    int kind = 0;
     int64_t report = 0;
-    ASSERT_TRUE(world.takeResult(&kind, &report));
+    ASSERT_TRUE(world.takeResult(&report));
     // chunks * 100 + dispatches, agreed by both ranks (-1: they differ).
     EXPECT_EQ(4 * 100 + 1, report);
 }
