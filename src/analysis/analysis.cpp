@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "analysis/callgraph.h"
 #include "analysis/cfg.h"
@@ -18,6 +19,20 @@
 #include "ir/typecheck.h"
 
 namespace wj::analysis {
+
+bool exprHasEffects(const Expr& e) {
+    switch (e.kind) {
+    case ExprKind::Call:
+    case ExprKind::StaticCall:
+    case ExprKind::IntrinsicCall:
+    case ExprKind::New:
+    case ExprKind::NewArray: return true;
+    default: break;
+    }
+    bool eff = false;
+    forEachChild(e, [&](const Expr& c) { eff = eff || exprHasEffects(c); });
+    return eff;
+}
 
 namespace {
 
@@ -87,20 +102,6 @@ const std::string* nodeDef(const CfgNode& nd, bool& uninit) {
         return nullptr;
     default: return nullptr;
     }
-}
-
-bool exprHasEffects(const Expr& e) {
-    switch (e.kind) {
-    case ExprKind::Call:
-    case ExprKind::StaticCall:
-    case ExprKind::IntrinsicCall:
-    case ExprKind::New:
-    case ExprKind::NewArray: return true;
-    default: break;
-    }
-    bool eff = false;
-    forEachChild(e, [&](const Expr& c) { eff = eff || exprHasEffects(c); });
-    return eff;
 }
 
 // ------------------------------------------------------- definite assignment
@@ -558,6 +559,16 @@ private:
 
     AVal readField(const AVal& obj, const std::string& field);
     const Effects& effectsOf(const Method& m) const;
+    /// A method a call may run, and the receiver it runs on.
+    struct Callee {
+        const ClassDecl* owner;
+        const Method* m;
+        AVal self;
+    };
+    /// Every method `call` (a Call or StaticCall) may run: a static call's
+    /// one target; a virtual call devirtualized through the receiver's
+    /// points-to set, or by class hierarchy when no object is known.
+    std::vector<Callee> callees(const Expr& call, const AVal& recv);
     AVal evalCall(Env& env, const CallExpr& n);
     AVal evalStaticCall(Env& env, const StaticCallExpr& n);
     AVal evalIntrinsic(Env& env, const IntrinsicExpr& n);
@@ -578,22 +589,20 @@ private:
     };
     void proveLoops(const std::string& label, const Method& m, const Cfg& cfg,
                     const std::vector<Env>& states);
+    /// Proves one counted loop in one context; false when refused.
     /// `vectorOnly` switches the prover into the SIMD-legality mode of the
-    /// proveVectors pass: verdicts flow to noteVector instead of noteLoop,
-    /// accesses must additionally be unit-stride, and the alias pairs widen
-    /// to every may-aliasing written/other pair (restrict soundness).
-    ParVerdict proveLoop(const std::string& label, const ForStmt& fs, const Cfg& cfg,
-                         const std::vector<Env>& states, bool vectorOnly = false);
+    /// proveVectors pass: verdicts flow to loopVector instead of
+    /// loopParallel, accesses must additionally be unit-stride, and the
+    /// alias pairs widen to every may-aliasing written/other pair
+    /// (restrict soundness).
+    bool proveLoop(const std::string& label, const ForStmt& fs, const Cfg& cfg,
+                   const std::vector<Env>& states, bool vectorOnly);
     bool ctorAllowsParallel(const ClassDecl* cls);
-    void noteLoop(const ForStmt* fs, const std::string& label, ParVerdict v, std::string reason,
-                  std::vector<std::pair<std::string, std::string>> pairs,
-                  std::vector<Reduction> reds = {});
-    void noteVector(const ForStmt* fs, const std::string& label, VecVerdict v,
-                    std::string reason, std::vector<std::pair<std::string, std::string>> pairs,
-                    std::vector<Reduction> reds = {}, bool exact = true,
-                    std::vector<std::string> soaClasses = {});
-    void finishParallelReport();
-    void finishVectorReport();
+    /// Joins one context's proof of `fs` into its mode's verdict map (the
+    /// join rules are LoopProof's) and records the loop for the report.
+    template <class Proof>
+    void note(const ForStmt& fs, const std::string& label, Proof proof);
+    void finishLoopReports();
     void finishLayoutReport();
 
     // ---- communication race walk (structural, per unique method body)
@@ -631,10 +640,9 @@ private:
     std::vector<std::string> whereStack_;
 
     std::map<const ClassDecl*, bool> ctorParOk_;
-    std::vector<const void*> loopOrder_;            ///< report order (first proof)
+    /// Report order: (SIMD mode?, loop) at the loop's first proof per mode.
+    std::vector<std::pair<bool, const void*>> loopOrder_;
     std::map<const void*, std::string> loopLabel_;  ///< "Cls.method: for (v)"
-    std::vector<const void*> vecOrder_;             ///< vector-report order
-    std::map<const void*, std::string> vecLabel_;
 
     friend struct IntervalDomain;
 };
@@ -1221,31 +1229,13 @@ AVal Engine::evalCall(Env& env, const CallExpr& n) {
 
     AVal ret;
     bool first = true;
-    auto accumulate = [&](const ClassDecl& owner, const Method& m, const AVal* self) {
-        const AVal r = analyzeCall(owner, m, self, args);
+    for (const Callee& c : callees(n, recv)) {
+        const AVal r = analyzeCall(*c.owner, *c.m, &c.self, args);
         if (first) {
             ret = r;
             first = false;
         } else {
             joinAVal(ret, r);
-        }
-    };
-
-    if (!recv.objs.empty()) {
-        // Devirtualized through the points-to set.
-        for (const AbsObjPtr& o : recv.objs) {
-            const ClassDecl* owner = prog_.methodOwner(o->cls->name, n.method);
-            const Method* m = owner ? owner->ownMethod(n.method) : nullptr;
-            if (!owner || !m) continue;
-            AVal self;
-            self.type = Type::cls(o->cls->name);
-            self.objs = {o};
-            accumulate(*owner, *m, &self);
-        }
-    } else if (recv.type.isClass()) {
-        for (const auto& [owner, m] : resolveVirtual(prog_, recv.type.className(), n.method)) {
-            AVal self = unknownOf(Type::cls(owner->name));
-            accumulate(*owner, *m, &self);
         }
     }
     if (first) {
@@ -1255,6 +1245,34 @@ AVal Engine::evalCall(Env& env, const CallExpr& n) {
         return unknownOf(m ? m->ret : Type::voidTy());
     }
     return ret;
+}
+
+std::vector<Engine::Callee> Engine::callees(const Expr& call, const AVal& recv) {
+    std::vector<Callee> out;
+    auto resolve = [&](const std::string& cls, const std::string& method, AVal self) {
+        const ClassDecl* owner = prog_.methodOwner(cls, method);
+        if (const Method* m = owner ? owner->ownMethod(method) : nullptr) {
+            out.push_back({owner, m, std::move(self)});
+        }
+    };
+    if (call.kind == ExprKind::StaticCall) {
+        resolve(as<StaticCallExpr>(call).cls, as<StaticCallExpr>(call).method, {});
+        return out;
+    }
+    const std::string& method = as<CallExpr>(call).method;
+    if (!recv.objs.empty()) {
+        for (const AbsObjPtr& o : recv.objs) {
+            AVal self;
+            self.type = Type::cls(o->cls->name);
+            self.objs = {o};
+            resolve(o->cls->name, method, std::move(self));
+        }
+    } else if (recv.type.isClass()) {
+        for (const auto& [owner, m] : resolveVirtual(prog_, recv.type.className(), method)) {
+            out.push_back({owner, m, unknownOf(Type::cls(owner->name))});
+        }
+    }
+    return out;
 }
 
 AVal Engine::evalStaticCall(Env& env, const StaticCallExpr& n) {
@@ -1792,29 +1810,8 @@ void Engine::raceExpr(Env& env, const Expr& e, std::vector<Pending>& p) {
         const auto& argExprs = vc ? vc->args : sc->args;
         for (const auto& a : argExprs) raceExpr(env, *a, p);
 
-        std::vector<const Method*> targets;
-        if (vc) {
-            if (!recv.objs.empty()) {
-                for (const AbsObjPtr& o : recv.objs) {
-                    if (const Method* m = prog_.resolveMethod(o->cls->name, vc->method)) {
-                        targets.push_back(m);
-                    }
-                }
-            } else if (recv.type.isClass()) {
-                for (const auto& [owner, m] :
-                     resolveVirtual(prog_, recv.type.className(), vc->method)) {
-                    (void)owner;
-                    targets.push_back(m);
-                }
-            }
-        } else {
-            const ClassDecl* owner = prog_.methodOwner(sc->cls, sc->method);
-            if (const Method* m = owner ? owner->ownMethod(sc->method) : nullptr) {
-                targets.push_back(m);
-            }
-        }
-
-        for (const Method* m : targets) {
+        for (const Callee& c : callees(e, recv)) {
+            const Method* m = c.m;
             const Effects& eff = effectsOf(*m);
             for (int j : eff.writesParams) {
                 if (j < 0 || static_cast<size_t>(j) >= argExprs.size()) continue;
@@ -2201,140 +2198,77 @@ bool Engine::ctorAllowsParallel(const ClassDecl* cls) {
     return ok;
 }
 
-void Engine::noteLoop(const ForStmt* fs, const std::string& label, ParVerdict v,
-                      std::string reason, std::vector<std::pair<std::string, std::string>> pairs,
-                      std::vector<Reduction> reds) {
-    auto it = out_.loopParallel.find(fs);
-    if (it == out_.loopParallel.end()) {
-        LoopParallel lp;
-        lp.verdict = v;
-        lp.reason = std::move(reason);
-        lp.neqPairs = std::move(pairs);
-        lp.reductions = std::move(reds);
-        out_.loopParallel.emplace(fs, std::move(lp));
-        loopOrder_.push_back(fs);
-        loopLabel_.emplace(fs, label + ": for (" + fs->var + ")");
+template <class Proof>
+void Engine::note(const ForStmt& fs, const std::string& label, Proof proof) {
+    constexpr bool simd = std::is_same_v<Proof, LoopVector>;
+    auto [it, fresh] = [&] {
+        if constexpr (simd) return out_.loopVector.try_emplace(&fs);
+        else return out_.loopParallel.try_emplace(&fs);
+    }();
+    Proof& into = it->second;
+    if (fresh) {
+        into = std::move(proof);
+        loopOrder_.emplace_back(simd, &fs);
+        loopLabel_.try_emplace(&fs, label + ": for (" + fs.var + ")");
         return;
     }
-    // Join with earlier contexts: Serial anywhere poisons the loop; a
-    // conditional proof weakens an unconditional one; guard pairs union.
-    LoopParallel& lp = it->second;
-    if (lp.verdict == ParVerdict::Serial) return;
-    if (v == ParVerdict::Serial) {
-        lp.verdict = v;
-        lp.reason = std::move(reason);
-        lp.neqPairs.clear();
-        lp.reductions.clear();
+    if (into.refused()) return;
+    // A refusal in any context poisons the loop. Reduction recognition is
+    // structural (same loop, same updates in every context), so contexts
+    // that disagree about whether the loop reduces are incomparable: poison.
+    if (proof.refused() || proof.reductions.empty() != into.reductions.empty()) {
+        into = Proof{};
+        into.reason = proof.refused() ? std::move(proof.reason)
+                                      : "verdict differs across call contexts";
         return;
     }
-    // A reduction proof joins only with itself. Recognition is structural
-    // (same loop, same updates in every context), so a mixed join means a
-    // context disagreed about the loop's nature — poison to serial.
-    if ((v == ParVerdict::ParallelReduce) != (lp.verdict == ParVerdict::ParallelReduce)) {
-        lp.verdict = ParVerdict::Serial;
-        lp.reason = "verdict differs across call contexts";
-        lp.neqPairs.clear();
-        lp.reductions.clear();
-        return;
-    }
-    if (v == ParVerdict::ParallelReduce) return;  // identical structural reductions
-    for (auto& pr : pairs) {
-        if (std::find(lp.neqPairs.begin(), lp.neqPairs.end(), pr) == lp.neqPairs.end()) {
-            lp.neqPairs.push_back(std::move(pr));
+    auto unite = [](auto& to, auto& from) {
+        for (auto& x : from) {
+            if (std::find(to.begin(), to.end(), x) == to.end()) to.push_back(std::move(x));
         }
-    }
-    if (v == ParVerdict::CondParallel && lp.verdict == ParVerdict::Parallel) {
-        lp.verdict = v;
-        lp.reason = std::move(reason);
+    };
+    unite(into.pairs, proof.pairs);
+    unite(into.soaClasses, proof.soaClasses);
+    into.exactReductions = into.exactReductions && proof.exactReductions;
+    if (proof.guarded() && !into.guarded()) {
+        into.verdict = proof.verdict;
+        into.reason = std::move(proof.reason);
     }
 }
 
-void Engine::finishParallelReport() {
-    for (const void* fs : loopOrder_) {
-        const LoopParallel& lp = out_.loopParallel.at(fs);
-        std::string line = loopLabel_.at(fs) + ": ";
-        switch (lp.verdict) {
-        case ParVerdict::Parallel: line += "parallel"; break;
-        case ParVerdict::CondParallel: line += "parallel (guarded)"; break;
-        case ParVerdict::ParallelReduce: line += "parallel (reduction)"; break;
-        case ParVerdict::Serial: line += "serial"; break;
-        }
-        line += " -- " + lp.reason;
-        out_.parallelReport.push_back(std::move(line));
+namespace {
+
+const char* verdictName(ParVerdict v) {
+    switch (v) {
+    case ParVerdict::Parallel: return "parallel";
+    case ParVerdict::CondParallel: return "parallel (guarded)";
+    case ParVerdict::ParallelReduce: return "parallel (reduction)";
+    case ParVerdict::Serial: return "serial";
     }
+    return "";
 }
 
-void Engine::noteVector(const ForStmt* fs, const std::string& label, VecVerdict v,
-                        std::string reason,
-                        std::vector<std::pair<std::string, std::string>> pairs,
-                        std::vector<Reduction> reds, bool exact,
-                        std::vector<std::string> soaClasses) {
-    auto it = out_.loopVector.find(fs);
-    if (it == out_.loopVector.end()) {
-        LoopVector lv;
-        lv.verdict = v;
-        lv.reason = std::move(reason);
-        lv.overlapPairs = std::move(pairs);
-        lv.reductions = std::move(reds);
-        lv.exactReductions = exact;
-        lv.soaClasses = std::move(soaClasses);
-        out_.loopVector.emplace(fs, std::move(lv));
-        vecOrder_.push_back(fs);
-        vecLabel_.emplace(fs, label + ": for (" + fs->var + ")");
-        return;
+const char* verdictName(VecVerdict v) {
+    switch (v) {
+    case VecVerdict::Vectorizable: return "vectorizable";
+    case VecVerdict::CondVectorizable: return "vectorizable (guarded)";
+    case VecVerdict::ScalarOnly: return "scalar";
     }
-    // Join with earlier contexts, mirroring noteLoop: ScalarOnly anywhere
-    // poisons the loop; a conditional proof weakens an unconditional one;
-    // overlap-pair sets union; exactness is the AND over contexts.
-    LoopVector& lv = it->second;
-    if (lv.verdict == VecVerdict::ScalarOnly) return;
-    if (v == VecVerdict::ScalarOnly) {
-        lv.verdict = v;
-        lv.reason = std::move(reason);
-        lv.overlapPairs.clear();
-        lv.reductions.clear();
-        lv.soaClasses.clear();
-        return;
-    }
-    // Reduction recognition is structural, so a context disagreeing about
-    // whether the loop reduces means the proofs are incomparable — poison.
-    if (reds.empty() != lv.reductions.empty()) {
-        lv.verdict = VecVerdict::ScalarOnly;
-        lv.reason = "verdict differs across call contexts";
-        lv.overlapPairs.clear();
-        lv.reductions.clear();
-        lv.soaClasses.clear();
-        return;
-    }
-    lv.exactReductions = lv.exactReductions && exact;
-    for (auto& pr : pairs) {
-        if (std::find(lv.overlapPairs.begin(), lv.overlapPairs.end(), pr) ==
-            lv.overlapPairs.end()) {
-            lv.overlapPairs.push_back(std::move(pr));
-        }
-    }
-    for (auto& sc : soaClasses) {
-        if (std::find(lv.soaClasses.begin(), lv.soaClasses.end(), sc) == lv.soaClasses.end()) {
-            lv.soaClasses.push_back(std::move(sc));
-        }
-    }
-    if (v == VecVerdict::CondVectorizable && lv.verdict == VecVerdict::Vectorizable) {
-        lv.verdict = v;
-        lv.reason = std::move(reason);
-    }
+    return "";
 }
 
-void Engine::finishVectorReport() {
-    for (const void* fs : vecOrder_) {
-        const LoopVector& lv = out_.loopVector.at(fs);
-        std::string line = vecLabel_.at(fs) + ": ";
-        switch (lv.verdict) {
-        case VecVerdict::Vectorizable: line += "vectorizable"; break;
-        case VecVerdict::CondVectorizable: line += "vectorizable (guarded)"; break;
-        case VecVerdict::ScalarOnly: line += "scalar"; break;
-        }
-        line += " -- " + lv.reason;
-        out_.vectorReport.push_back(std::move(line));
+template <class Proof>
+std::string reportLine(const std::string& label, const Proof& p) {
+    return label + ": " + verdictName(p.verdict) + " -- " + p.reason;
+}
+
+} // namespace
+
+void Engine::finishLoopReports() {
+    for (const auto& [simd, fs] : loopOrder_) {
+        const std::string& label = loopLabel_.at(fs);
+        if (simd) out_.vectorReport.push_back(reportLine(label, out_.loopVector.at(fs)));
+        else out_.parallelReport.push_back(reportLine(label, out_.loopParallel.at(fs)));
     }
 }
 
@@ -2367,62 +2301,45 @@ bool blockHasLoop(const Block& b) {
 }
 } // namespace
 
-/// Scans `m`'s body for outermost counted loops and attempts a dependence
-/// proof for each. A refused loop's nested loops are tried instead, so a
-/// serial driver loop still gets its compute-heavy inner loops outlined.
+/// Proves `m`'s counted loops in both modes in one walk. The parallel prover
+/// takes the outermost loops, and a refused loop's nested loops are tried
+/// instead, so a serial driver loop still gets its compute-heavy inner
+/// loops outlined. The SIMD prover takes every innermost loop, including
+/// those nested inside proven-parallel loops — their chunk bodies are where
+/// the simd codegen consumes the verdicts; it runs after the parallel
+/// proofs, in walk order.
 void Engine::proveLoops(const std::string& label, const Method& m, const Cfg& cfg,
                         const std::vector<Env>& states) {
-    std::function<void(const Block&)> scan = [&](const Block& b) {
+    std::vector<const ForStmt*> innermost;
+    std::function<void(const Block&, bool)> walk = [&](const Block& b, bool outermost) {
         for (const auto& stp : b) {
             switch (stp->kind) {
             case StmtKind::For: {
                 const auto& fs = as<ForStmt>(*stp);
-                if (proveLoop(label, fs, cfg, states) == ParVerdict::Serial) {
-                    scan(fs.body);
-                }
+                const bool parallel = outermost && proveLoop(label, fs, cfg, states, false);
+                if (blockHasLoop(fs.body)) walk(fs.body, outermost && !parallel);
+                else innermost.push_back(&fs);
                 break;
             }
             case StmtKind::If:
-                scan(as<IfStmt>(*stp).thenB);
-                scan(as<IfStmt>(*stp).elseB);
+                walk(as<IfStmt>(*stp).thenB, outermost);
+                walk(as<IfStmt>(*stp).elseB, outermost);
                 break;
-            case StmtKind::While: scan(as<WhileStmt>(*stp).body); break;
+            case StmtKind::While: walk(as<WhileStmt>(*stp).body, outermost); break;
             default: break;
             }
         }
     };
-    scan(m.body);
-
-    // The proveVectors pass: SIMD legality for every innermost counted loop,
-    // including those nested inside proven-parallel outer loops — their
-    // chunk bodies are where the simd codegen consumes the verdicts.
-    std::function<void(const Block&)> vscan = [&](const Block& b) {
-        for (const auto& stp : b) {
-            switch (stp->kind) {
-            case StmtKind::For: {
-                const auto& fsn = as<ForStmt>(*stp);
-                if (blockHasLoop(fsn.body)) vscan(fsn.body);
-                else proveLoop(label, fsn, cfg, states, /*vectorOnly=*/true);
-                break;
-            }
-            case StmtKind::If:
-                vscan(as<IfStmt>(*stp).thenB);
-                vscan(as<IfStmt>(*stp).elseB);
-                break;
-            case StmtKind::While: vscan(as<WhileStmt>(*stp).body); break;
-            default: break;
-            }
-        }
-    };
-    vscan(m.body);
+    walk(m.body, true);
+    for (const ForStmt* fs : innermost) proveLoop(label, *fs, cfg, states, true);
 }
 
-ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const Cfg& cfg,
-                             const std::vector<Env>& states, bool vectorOnly) {
+bool Engine::proveLoop(const std::string& label, const ForStmt& fs, const Cfg& cfg,
+                       const std::vector<Env>& states, bool vectorOnly) {
     auto refuse = [&](std::string why) {
-        if (vectorOnly) noteVector(&fs, label, VecVerdict::ScalarOnly, std::move(why), {});
-        else noteLoop(&fs, label, ParVerdict::Serial, std::move(why), {});
-        return ParVerdict::Serial;
+        if (vectorOnly) note(fs, label, LoopVector{.reason = std::move(why)});
+        else note(fs, label, LoopParallel{.reason = std::move(why)});
+        return false;
     };
 
     // ---- candidate shape: `for (v = init; v < bound; v = v + 1)` over an
@@ -2550,16 +2467,8 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
     };
     auto soaJoin = [&]() {
         std::string s;
-        bool first = true;
-        for (const std::string& c : soaNeeded) {
-            if (!first) s += ", ";
-            s += "'" + c + "[]'";
-            first = false;
-        }
+        for (const std::string& c : soaNeeded) s += (s.empty() ? "'" : ", '") + c + "[]'";
         return s;
-    };
-    auto soaList = [&]() {
-        return std::vector<std::string>(soaNeeded.begin(), soaNeeded.end());
     };
 
     // Linear form of an index expression in the candidate variable. Never
@@ -2781,33 +2690,13 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
                 if (!checkExpr(env, *a)) return false;
             }
 
-            std::vector<const Method*> targets;
-            if (vc) {
-                if (!recv.objs.empty()) {
-                    for (const AbsObjPtr& o : recv.objs) {
-                        if (const Method* t = prog_.resolveMethod(o->cls->name, vc->method)) {
-                            targets.push_back(t);
-                        }
-                    }
-                } else if (recv.type.isClass()) {
-                    for (const auto& [owner, t] :
-                         resolveVirtual(prog_, recv.type.className(), vc->method)) {
-                        (void)owner;
-                        targets.push_back(t);
-                    }
-                }
-            } else {
-                const ClassDecl* owner = prog_.methodOwner(sc->cls, sc->method);
-                if (const Method* t = owner ? owner->ownMethod(sc->method) : nullptr) {
-                    targets.push_back(t);
-                }
-            }
-            const std::string callee = vc ? vc->method : sc->method;
+            const std::vector<Callee> targets = callees(e, recv);
             if (targets.empty()) {
-                why = "calls '" + callee + "', which could not be resolved";
+                why = "calls '" + (vc ? vc->method : sc->method) + "', which could not be resolved";
                 return false;
             }
-            for (const Method* t : targets) {
+            for (const Callee& c : targets) {
+                const Method* t = c.m;
                 if (t->isGlobal) {
                     why = "launches kernel '" + t->name + "'";
                     return false;
@@ -3077,12 +2966,27 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         }
     }
 
-    if (!reds.empty()) {
-        if (!guards.empty()) {
-            return refuse("reduction over '" + reds[0].var +
-                          "' would also need alias guards -- unsupported combination");
+    if (!reds.empty() && !guards.empty()) {
+        return refuse("reduction over '" + reds[0].var +
+                      "' would also need alias guards -- unsupported combination");
+    }
+    if (vectorOnly && !soaNeeded.empty() && !soaOn_) {
+        return refuse("element accesses through " + soaJoin() +
+                      " are struct-strided under AoS -- vectorizable under --soa (WJ_SOA=1)");
+    }
+    const std::string soaNote =
+        soaNeeded.empty() ? "" : "; unit-stride via the SoA layout of " + soaJoin();
+    auto listPairs = [&](const char* sep) {
+        std::string out;
+        for (const auto& [a, b] : guards) {
+            out += (out.empty() ? "'" : ", '") + a + "'" + sep + "'" + b + "'";
         }
-        std::string desc = "reduction over ";
+        return out;
+    };
+    std::string desc;
+    bool exact = true;
+    if (!reds.empty()) {
+        desc = "reduction over ";
         bool first = true;
         for (const Reduction& r : reds) {
             if (!first) desc += ", ";
@@ -3095,92 +2999,60 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
             // carry a simd reduction clause. f32/f64 +/* are inexact: the
             // loop still vectorizes elementwise, but the accumulator stays
             // on the bitwise chunk-serial combine.
-            bool exact = true;
             for (const Reduction& r : reds) {
                 if ((r.op == RedOp::Add || r.op == RedOp::Mul) && r.prim != Prim::I64) {
                     exact = false;
                 }
             }
-            desc += exact ? " -- exact under reassociation (simd reduction clause)"
-                          : " -- f32/f64 reassociation is inexact; accumulator stays "
-                            "chunk-serial";
-            if (!soaNeeded.empty()) {
-                if (!soaOn_) {
-                    return refuse("element accesses through " + soaJoin() +
-                                  " are struct-strided under AoS -- vectorizable under --soa "
-                                  "(WJ_SOA=1)");
-                }
-                desc += "; unit-stride via the SoA layout of " + soaJoin();
-            }
-            noteVector(&fs, label, VecVerdict::Vectorizable, std::move(desc), {},
-                       std::move(reds), exact, soaList());
-            return ParVerdict::Parallel;
-        }
-        if (lint_) {
+            desc += (exact ? " -- exact under reassociation (simd reduction clause)"
+                           : " -- f32/f64 reassociation is inexact; accumulator stays "
+                             "chunk-serial") +
+                    soaNote;
+        } else if (lint_) {
             // Without an entry context the interval/alias facts backing the
             // outlined dispatch are too weak; report the recognition so the
             // lint output stays actionable, but degrade to serial — never
             // to an unsound parallel verdict.
             return refuse(desc + " recognized; parallelized when jitted with an entry context");
+        } else {
+            desc += "; per-chunk partials combined in fixed chunk order";
         }
-        desc += "; per-chunk partials combined in fixed chunk order";
-        noteLoop(&fs, label, ParVerdict::ParallelReduce, std::move(desc), {}, std::move(reds));
-        return ParVerdict::ParallelReduce;
+    } else if (!guards.empty()) {
+        desc = vectorOnly ? "lanes are independent provided the data ranges of " +
+                                listPairs("/") + " are disjoint (runtime overlap guard)" + soaNote
+                          : "iterations are independent provided " + listPairs(" != ") +
+                                " (runtime pointer guard)";
+    } else if (vectorOnly) {
+        desc = soaNeeded.empty() ? "unit-stride accesses; no cross-lane dependence"
+                                 : "unit-stride accesses via the SoA layout of " + soaJoin() +
+                                       "; no cross-lane dependence";
+    } else {
+        desc = "no loop-carried dependence";
     }
 
-    if (!guards.empty()) {
-        std::vector<std::pair<std::string, std::string>> pairs(guards.begin(), guards.end());
-        if (vectorOnly) {
-            std::string desc = "lanes are independent provided the data ranges of ";
-            bool first = true;
-            for (const auto& [a, b] : guards) {
-                if (!first) desc += ", ";
-                desc += "'" + a + "'/'" + b + "'";
-                first = false;
-            }
-            desc += " are disjoint (runtime overlap guard)";
-            if (!soaNeeded.empty()) {
-                if (!soaOn_) {
-                    return refuse("element accesses through " + soaJoin() +
-                                  " are struct-strided under AoS -- vectorizable under --soa "
-                                  "(WJ_SOA=1)");
-                }
-                desc += "; unit-stride via the SoA layout of " + soaJoin();
-            }
-            noteVector(&fs, label, VecVerdict::CondVectorizable, std::move(desc),
-                       std::move(pairs), {}, true, soaList());
-            return ParVerdict::CondParallel;
-        }
-        std::string desc = "iterations are independent provided ";
-        bool first = true;
-        for (const auto& [a, b] : guards) {
-            if (!first) desc += ", ";
-            desc += "'" + a + "' != '" + b + "'";
-            first = false;
-        }
-        desc += " (runtime pointer guard)";
-        noteLoop(&fs, label, ParVerdict::CondParallel, std::move(desc), std::move(pairs));
-        return ParVerdict::CondParallel;
-    }
+    const bool guarded = !guards.empty();
     if (vectorOnly) {
-        if (!soaNeeded.empty()) {
-            if (!soaOn_) {
-                return refuse("element accesses through " + soaJoin() +
-                              " are struct-strided under AoS -- vectorizable under --soa "
-                              "(WJ_SOA=1)");
-            }
-            noteVector(&fs, label, VecVerdict::Vectorizable,
-                       "unit-stride accesses via the SoA layout of " + soaJoin() +
-                       "; no cross-lane dependence",
-                       {}, {}, true, soaList());
-            return ParVerdict::Parallel;
-        }
-        noteVector(&fs, label, VecVerdict::Vectorizable,
-                   "unit-stride accesses; no cross-lane dependence", {});
-        return ParVerdict::Parallel;
+        note(fs, label,
+             LoopVector{.verdict = guarded ? VecVerdict::CondVectorizable
+                                           : VecVerdict::Vectorizable,
+                        .reason = std::move(desc),
+                        .bound = &bound,
+                        .pairs = {guards.begin(), guards.end()},
+                        .reductions = std::move(reds),
+                        .exactReductions = exact,
+                        .soaClasses = {soaNeeded.begin(), soaNeeded.end()}});
+    } else {
+        const ParVerdict v = guarded        ? ParVerdict::CondParallel
+                             : reds.empty() ? ParVerdict::Parallel
+                                            : ParVerdict::ParallelReduce;
+        note(fs, label,
+             LoopParallel{.verdict = v,
+                          .reason = std::move(desc),
+                          .bound = &bound,
+                          .pairs = {guards.begin(), guards.end()},
+                          .reductions = std::move(reds)});
     }
-    noteLoop(&fs, label, ParVerdict::Parallel, "no loop-carried dependence", {});
-    return ParVerdict::Parallel;
+    return true;
 }
 
 // ----------------------------------------------------------------- drivers
@@ -3235,8 +3107,7 @@ void Engine::runEntry(const Value& receiver, const std::string& method,
         argVals.push_back(absOfValue(args[i], declared));
     }
     analyzeCall(*owner, *m, &self, argVals);
-    finishParallelReport();
-    finishVectorReport();
+    finishLoopReports();
     finishLayoutReport();
 }
 
@@ -3266,8 +3137,7 @@ void Engine::runLint() {
             }
         }
     }
-    finishParallelReport();
-    finishVectorReport();
+    finishLoopReports();
     finishLayoutReport();
 }
 

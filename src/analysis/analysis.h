@@ -63,7 +63,7 @@ enum class RedOp {
     Max,  ///< same shape selecting the larger value
 };
 
-/// One accumulator of a ParallelReduce loop. The translator re-derives the
+/// One accumulator of a reduction loop. The translator re-derives the
 /// update expressions from the loop body; this record carries what it needs
 /// to pick the identity element and to replay the source's exact combine
 /// structure (operand order / comparison op), so single-update chunks stay
@@ -77,16 +77,6 @@ struct Reduction {
     BinOp cmp = BinOp::Lt;    ///< Min/Max only: the comparison as written
 };
 
-struct LoopParallel {
-    ParVerdict verdict = ParVerdict::Serial;
-    std::string reason;  ///< human-readable justification ("wjc lint" report)
-    /// Local-variable name pairs that must be pointer-distinct for the
-    /// parallel version to be valid (CondParallel only).
-    std::vector<std::pair<std::string, std::string>> neqPairs;
-    /// Accumulators, in first-update order (ParallelReduce only).
-    std::vector<Reduction> reductions;
-};
-
 /// SIMD-legality verdict for one innermost counted loop (the `proveVectors`
 /// pass). Vectorizable: every array reference is unit-stride (or loop-
 /// invariant read), the body is lane-independent for every aliasing, and
@@ -97,31 +87,56 @@ struct LoopParallel {
 /// branch. ScalarOnly: `reason` names the offending access or statement.
 enum class VecVerdict { Vectorizable, CondVectorizable, ScalarOnly };
 
-struct LoopVector {
-    VecVerdict verdict = VecVerdict::ScalarOnly;
-    std::string reason;  ///< justification ("wjc lint" vectorization table)
-    /// Local array pairs whose data ranges must be disjoint for the SIMD
-    /// version to be valid (CondVectorizable only). Wider than neqPairs:
-    /// restrict-qualified pointer hoisting needs every written array to be
-    /// disjoint from every other array it may alias, colliding or not.
-    std::vector<std::pair<std::string, std::string>> overlapPairs;
-    /// Reduction accumulators crossing lanes (same records as LoopParallel).
-    std::vector<Reduction> reductions;
-    /// True when every reduction op is exact under reassociation (min/max
-    /// of any type; i64 +/* which wrap mod 2^64). The translator only emits
-    /// `reduction(...)` clauses when exact — f32/f64 +/* stay on the
-    /// bitwise chunk-serial path.
+/// What the counted-loop prover established about one loop in one of its
+/// two modes (parallel or SIMD), joined across call contexts: a refusal in
+/// any context poisons the loop, a guarded proof weakens an unguarded one,
+/// guard pairs and SoA classes union, and contexts that disagree about
+/// whether the loop reduces poison it.
+///
+/// Every verdict that is not refused holds the counted-loop contract: the
+/// loop is `for (v = init; v < bound; v = v + 1)` over an integral v, and
+/// `bound` is effect-free, reads no array element and no name the body
+/// assigns, so the translator evaluates it once, ahead of the loop.
+/// Every member has an initializer, so a designated initializer may name
+/// any subset of them.
+template <class Verdict, Verdict Refused, Verdict Guarded>
+struct LoopProof {
+    Verdict verdict = Refused;
+    std::string reason{};  ///< human-readable justification ("wjc lint" reports)
+    /// The proven bound expression of the contract; null when refused.
+    const Expr* bound = nullptr;
+    /// Local-name pairs a guarded verdict checks at run time: pointer
+    /// inequality (CondParallel), or disjoint data ranges (CondVectorizable)
+    /// — wider, since restrict-qualified pointer hoisting needs every
+    /// written array to be disjoint from every other array it may alias,
+    /// colliding or not.
+    std::vector<std::pair<std::string, std::string>> pairs{};
+    /// Accumulators, in first-update order (ParallelReduce, or a
+    /// Vectorizable loop whose lanes reduce).
+    std::vector<Reduction> reductions{};
+    /// SIMD only: true when every reduction op is exact under reassociation
+    /// (min/max of any type; i64 +/* which wrap mod 2^64). The translator
+    /// only emits `reduction(...)` clauses when exact — f32/f64 +/* stay on
+    /// the bitwise chunk-serial path.
     bool exactReductions = true;
-    /// Element classes this verdict depends on being laid out SoA (the
-    /// proveLayout pass): the loop reads/writes `C[]` elements through
+    /// SIMD only: element classes this verdict depends on being laid out SoA
+    /// (the proveLayout pass): the loop reads/writes `C[]` elements through
     /// field paths, which is unit-stride only after the AoS→SoA split.
-    /// Non-empty only when the verdict was issued under the soa option; without
-    /// it the loop reports ScalarOnly with a "vectorizable under --soa"
-    /// reason. Joined across contexts by set union.
-    std::vector<std::string> soaClasses;
+    /// Non-empty only when the verdict was issued under the soa option;
+    /// without it the loop reports ScalarOnly with a "vectorizable under
+    /// --soa" reason.
+    std::vector<std::string> soaClasses{};
 
-    bool needsSoa() const { return !soaClasses.empty(); }
+    bool refused() const { return verdict == Refused; }
+    bool guarded() const { return verdict == Guarded; }
 };
+
+using LoopParallel = LoopProof<ParVerdict, ParVerdict::Serial, ParVerdict::CondParallel>;
+using LoopVector = LoopProof<VecVerdict, VecVerdict::ScalarOnly, VecVerdict::CondVectorizable>;
+
+/// True when evaluating `e` can call, allocate or run an intrinsic: what
+/// must not be evaluated twice or moved out of its loop.
+bool exprHasEffects(const Expr& e);
 
 struct Result {
     std::vector<Violation> errors;    ///< uninit reads, proven OOB, halo races

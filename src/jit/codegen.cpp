@@ -1,5 +1,6 @@
 #include "jit/codegen.h"
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
 #include <cmath>
@@ -171,8 +172,11 @@ private:
     void genStmt(Env& env, const Stmt& s);
     void genSerialFor(Env& env, const ForStmt& n);
     void genSimdFor(Env& env, const ForStmt& n, const analysis::LoopVector& lv);
-    void genParallelFor(Env& env, const ForStmt& n, const analysis::LoopParallel& lp);
-    void genParallelReduce(Env& env, const ForStmt& n, const analysis::LoopParallel& lp);
+    void genOutlined(Env& env, const ForStmt& n, const analysis::LoopParallel& lp);
+    void genCountedLoop(Env& env, const ForStmt& n, const std::string& lo, const std::string& hi,
+                        const analysis::LoopVector* lv);
+    void emitGuarded(Emitter& em, const std::string& guard, const char* fallback, bool braced,
+                     const std::function<void()>& fast, const std::function<void()>& slow);
     /// SIMD verdict usable in this emission context, or null. Resolves the
     /// overlap-guard pair names and reduction accumulators against `env`; a
     /// name out of scope means the proof context does not match here.
@@ -556,12 +560,8 @@ void CodeGen::genStmt(Env& env, const Stmt& s) {
         const auto& n = as<ForStmt>(s);
         if (parLoops_ && !env.device) {
             auto it = parLoops_->find(&n);
-            if (it != parLoops_->end() && it->second.verdict != analysis::ParVerdict::Serial) {
-                if (it->second.verdict == analysis::ParVerdict::ParallelReduce) {
-                    genParallelReduce(env, n, it->second);
-                } else {
-                    genParallelFor(env, n, it->second);
-                }
+            if (it != parLoops_->end() && !it->second.refused()) {
+                genOutlined(env, n, it->second);
                 return;
             }
         }
@@ -614,22 +614,6 @@ void CodeGen::genSerialFor(Env& env, const ForStmt& n) {
 
 namespace {
 
-/// Evaluating an expression twice (or hoisting it out of the loop header)
-/// must not duplicate side effects; refuse anything that can emit code.
-bool safeToHoist(const Expr& e) {
-    switch (e.kind) {
-    case ExprKind::Call:
-    case ExprKind::StaticCall:
-    case ExprKind::IntrinsicCall:
-    case ExprKind::New:
-    case ExprKind::NewArray: return false;
-    default: break;
-    }
-    bool safe = true;
-    forEachChild(e, [&](const Expr& c) { safe = safe && safeToHoist(c); });
-    return safe;
-}
-
 /// Expressions used as the array operand of an element access anywhere
 /// under the node — the restrict-hoisting candidates of a simd loop
 /// (locals and stable field-load chains like `this.cur`). Skipping a base
@@ -660,33 +644,63 @@ bool isIdentText(const std::string& s) {
 
 } // namespace
 
-// Outlines a proven loop body into `static void wj_pfbN(lo, hi, ctx)` and
-// replaces the loop with a wjrt_parallel_for dispatch over [init, bound).
-// Every in-scope local (and `self`) is packed by value into a capture
-// struct: the analysis guarantees the body only reads them, and array/object
-// captures are pointers into the caller's frame. CondParallel loops get a
-// runtime pointer-inequality guard with the serial loop as the else-branch,
-// so aliased calls (e.g. multiplyAcc(c, c, c)) keep exact serial semantics.
-void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopParallel& lp) {
-    Emitter& em = *env.em;
-    const Shape* vs = shapes_.ofType(n.varType);
+namespace {
 
-    // Re-derive the bound from the proven shape `for (v = init; v < bound;
-    // v = v + 1)`; anything unexpected falls back to the serial loop.
-    const auto* condB = n.cond->kind == ExprKind::Binary ? &as<BinaryExpr>(*n.cond) : nullptr;
-    if (vs->isObject() || !condB || condB->op != BinOp::Lt ||
-        condB->l->kind != ExprKind::Local || as<LocalExpr>(*condB->l).name != n.var ||
-        !safeToHoist(*n.init) || !safeToHoist(*condB->r)) {
+/// The reduction operator's exact identity: `x op identity` is bitwise `x`
+/// (-0.0 for +, 1.0 for *, +/-inf for min/max).
+std::string redIdentity(const analysis::Reduction& r) {
+    const bool f32 = r.prim == Prim::F32;
+    switch (r.op) {
+    case analysis::RedOp::Add: return r.prim == Prim::I64 ? "0" : (f32 ? "-0.0f" : "-0.0");
+    case analysis::RedOp::Mul: return r.prim == Prim::I64 ? "1" : (f32 ? "1.0f" : "1.0");
+    case analysis::RedOp::Min: return r.prim == Prim::I64 ? "INT64_MAX" : "INFINITY";
+    case analysis::RedOp::Max: return r.prim == Prim::I64 ? "INT64_MIN" : "-INFINITY";
+    }
+    return "0";
+}
+
+const char* cmpText(BinOp op) {
+    switch (op) {
+    case BinOp::Le: return "<=";
+    case BinOp::Gt: return ">";
+    case BinOp::Ge: return ">=";
+    default: return "<";
+    }
+}
+
+} // namespace
+
+// Outlines a proven loop body into a chunk function over [wj_lo, wj_hi)
+// and replaces the loop with one dispatch over [init, bound):
+//   * Parallel/CondParallel: `static void wj_pfbN(lo, hi, ctx)` through
+//     wjrt_parallel_for. CondParallel loops get a runtime pointer-inequality
+//     guard with the serial loop as the else-branch, so aliased calls (e.g.
+//     multiplyAcc(c, c, c)) keep exact serial semantics.
+//   * ParallelReduce: `static void wj_rbN(lo, hi, ctx, partial)` folds its
+//     range into per-chunk partial accumulators seeded with the operator's
+//     exact identity, dispatched through wjrt_parallel_reduce over a fixed
+//     thread-count-independent chunk grid, and combined here in chunk order
+//     0..K-1 replaying the source's operand order / comparison. See wjrt.h
+//     for the full determinism contract.
+// Every in-scope local (and `self`) but the accumulators is packed by value
+// into a capture struct: the analysis guarantees the body only reads them,
+// and array/object captures are pointers into the caller's frame. The chunk
+// runs the serial loop's per-iteration code, so any thread count produces
+// bit-identical results.
+void CodeGen::genOutlined(Env& env, const ForStmt& n, const analysis::LoopParallel& lp) {
+    Emitter& em = *env.em;
+    const bool reduce = lp.verdict == analysis::ParVerdict::ParallelReduce;
+
+    // The proof context must match this emission context: the guard pairs
+    // name live locals and every accumulator is a live scalar local. The
+    // init is evaluated once at the dispatch, so it must be effect-free.
+    // Anything else stays serial.
+    if (analysis::exprHasEffects(*n.init)) {
         genSerialFor(env, n);
         return;
     }
-    const Expr& boundE = *condB->r;
-
-    // CondParallel: build the pointer-distinctness guard from the verdict's
-    // local-name pairs; a name out of scope means the proof context does not
-    // match this emission context, so stay serial.
     std::string guard;
-    for (const auto& [a, b] : lp.neqPairs) {
+    for (const auto& [a, b] : lp.pairs) {
         auto ia = env.vars.find(a);
         auto ib = env.vars.find(b);
         if (ia == env.vars.end() || ib == env.vars.end()) {
@@ -696,134 +710,6 @@ void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopPar
         if (!guard.empty()) guard += " && ";
         guard += ia->second.text + " != " + ib->second.text;
     }
-
-    const int id = pfCount_++;
-    const std::string sname = format("wj_pfc%d", id);
-    const std::string fnName = format("wj_pfb%d", id);
-
-    // ---- capture struct: every named local in scope, plus the receiver.
-    std::vector<std::pair<std::string, const Shape*>> caps;
-    if (env.hasThis) caps.emplace_back(env.self.text, env.self.shape);
-    for (const auto& [name, cv] : env.vars) {
-        if (name.rfind("@p:", 0) == 0 || cv.text.empty()) continue;
-        caps.emplace_back(cv.text, cv.shape);
-    }
-    std::string def = "/* parallel-for captures (loop over " + n.var + ") */\n";
-    def += "typedef struct " + sname + " {\n";
-    if (caps.empty()) def += "  int32_t wj_empty;\n";
-    for (const auto& [txt, sh] : caps) {
-        def += "  " + (sh->isObject() ? structFor(sh) + "*" : cTypeVal(sh)) + " " + txt + ";\n";
-    }
-    def += "} " + sname + ";\n";
-    structs_ += def;
-
-    protos_ += "static void " + fnName + "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx);\n";
-
-    // ---- chunk function: unpack captures under their original names and
-    // run the body for [wj_lo, wj_hi). Identical per-iteration code to the
-    // serial loop, so any thread count produces bit-identical results.
-    Emitter bem;
-    bem.line(sname + "* wj_c = (" + sname + "*)wj_ctx;");
-    for (const auto& [txt, sh] : caps) {
-        bem.line((sh->isObject() ? structFor(sh) + "*" : cTypeVal(sh)) + " " + txt + " = wj_c->" +
-                 txt + ";");
-    }
-    const std::string vct = cTypeVal(vs);
-    {
-        Env benv = env;
-        benv.em = &bem;
-        // Under simd a loop that also carries a vector verdict runs its
-        // chunk iterations through `#pragma omp simd` — threads across
-        // chunks, lanes within one. The range guard re-checks inside the
-        // chunk function; the scalar chunk loop is the else-branch.
-        const analysis::LoopVector* lv = simdVerdict(benv, n);
-        if (lv && !lv->reductions.empty()) lv = nullptr;  // Parallel loops carry no accumulators
-        benv.vars[n.var] = {"v_" + n.var, vs, true};
-        auto emitChunkLoop = [&](bool simd) {
-            std::vector<std::string> keys;
-            if (simd) {
-                keys = hoistSimdPtrs(benv, n);
-                bem.line("#pragma omp simd");
-            }
-            bem.open("for (" + vct + " v_" + n.var + " = (" + vct + ")wj_lo; v_" + n.var +
-                     " < (" + vct + ")wj_hi; ++v_" + n.var + ") {");
-            genStmts(benv, n.body);
-            bem.close();
-            dropSimdPtrs(keys);
-        };
-        if (!lv) {
-            emitChunkLoop(false);
-        } else {
-            const std::string g = simdGuard(benv, *lv);
-            if (g.empty()) {
-                emitChunkLoop(true);
-            } else {
-                bem.open("if (" + g + ") {");
-                emitChunkLoop(true);
-                bem.mid("} else {");
-                bem.line("wjrt_simd_fallback();");
-                emitChunkLoop(false);
-                bem.close();
-            }
-            ++out_.vectorLoops;
-        }
-    }
-    fns_ += "static void " + fnName + "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx) {\n" +
-            bem.text() + "}\n\n";
-
-    // ---- dispatch site
-    auto emitDispatch = [&]() {
-        CVal init = genExpr(env, *n.init);
-        CVal bound = genExpr(env, boundE);
-        const std::string cap = format("wj_cap%d", id);
-        em.line(sname + " " + cap + ";");
-        for (const auto& [txt, sh] : caps) {
-            (void)sh;
-            em.line(cap + "." + txt + " = " + txt + ";");
-        }
-        em.line("wjrt_parallel_for((int64_t)(" + init.text + "), (int64_t)(" + bound.text +
-                "), " + fnName + ", &" + cap + ");");
-    };
-    if (guard.empty()) {
-        em.open("{");
-        emitDispatch();
-        em.close();
-    } else {
-        em.open("if (" + guard + ") {");
-        emitDispatch();
-        em.mid("} else {");
-        em.line("wjrt_guard_fallback();");
-        genSerialFor(env, n);
-        em.close();
-    }
-    ++out_.parallelLoops;
-}
-
-// Outlines a ParallelReduce loop into `static void wj_rbN(lo, hi, ctx,
-// partial)`: the chunk function folds one contiguous iteration range into
-// per-chunk partial accumulators seeded with the operator's exact identity
-// (-0.0 for +, 1.0 for *, +/-inf for min/max — chosen so `x op identity`
-// is bitwise `x`), dispatched through wjrt_parallel_reduce over a fixed
-// thread-count-independent chunk grid, and combined here in chunk order
-// 0..K-1 replaying the source's operand order / comparison. See wjrt.h for
-// the full determinism contract.
-void CodeGen::genParallelReduce(Env& env, const ForStmt& n, const analysis::LoopParallel& lp) {
-    Emitter& em = *env.em;
-    const Shape* vs = shapes_.ofType(n.varType);
-
-    // Re-derive the proven shape, exactly as genParallelFor does.
-    const auto* condB = n.cond->kind == ExprKind::Binary ? &as<BinaryExpr>(*n.cond) : nullptr;
-    if (vs->isObject() || !condB || condB->op != BinOp::Lt ||
-        condB->l->kind != ExprKind::Local || as<LocalExpr>(*condB->l).name != n.var ||
-        !safeToHoist(*n.init) || !safeToHoist(*condB->r) || lp.reductions.empty()) {
-        genSerialFor(env, n);
-        return;
-    }
-    const Expr& boundE = *condB->r;
-
-    // Every accumulator must be a live scalar local here; a missing or
-    // non-scalar name means the proof context does not match this emission
-    // context, so stay serial.
     std::vector<const CVal*> accs;
     for (const auto& r : lp.reductions) {
         auto it = env.vars.find(r.var);
@@ -834,145 +720,173 @@ void CodeGen::genParallelReduce(Env& env, const ForStmt& n, const analysis::Loop
         accs.push_back(&it->second);
     }
 
-    auto identity = [](const analysis::Reduction& r) -> std::string {
-        const bool f32 = r.prim == Prim::F32;
-        switch (r.op) {
-        case analysis::RedOp::Add: return r.prim == Prim::I64 ? "0" : (f32 ? "-0.0f" : "-0.0");
-        case analysis::RedOp::Mul: return r.prim == Prim::I64 ? "1" : (f32 ? "1.0f" : "1.0");
-        case analysis::RedOp::Min: return r.prim == Prim::I64 ? "INT64_MAX" : "INFINITY";
-        case analysis::RedOp::Max: return r.prim == Prim::I64 ? "INT64_MIN" : "-INFINITY";
-        }
-        return "0";
-    };
-    auto cmpOp = [](BinOp op) -> const char* {
-        switch (op) {
-        case BinOp::Lt: return "<";
-        case BinOp::Le: return "<=";
-        case BinOp::Gt: return ">";
-        case BinOp::Ge: return ">=";
-        default: return "<";
-        }
-    };
-
     const int id = pfCount_++;
-    const std::string sname = format("wj_rcc%d", id);  // capture struct
-    const std::string pname = format("wj_rp%d", id);   // partials record
-    const std::string fnName = format("wj_rb%d", id);
+    const std::string sname = format(reduce ? "wj_rcc%d" : "wj_pfc%d", id);  // captures
+    const std::string pname = format("wj_rp%d", id);                         // partials
+    const std::string fnName = format(reduce ? "wj_rb%d" : "wj_pfb%d", id);
+    const std::string params = reduce
+                                   ? "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx, void* wj_part)"
+                                   : "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx)";
 
     // ---- capture struct: in-scope locals minus the accumulators (chunks
     // fold from the identity; the caller's running value enters only in the
     // ordered combine below), plus the receiver.
-    std::set<std::string> accNames;
-    for (const auto& r : lp.reductions) accNames.insert(r.var);
     std::vector<std::pair<std::string, const Shape*>> caps;
     if (env.hasThis) caps.emplace_back(env.self.text, env.self.shape);
     for (const auto& [name, cv] : env.vars) {
-        if (name.rfind("@p:", 0) == 0 || cv.text.empty() || accNames.count(name)) continue;
+        const bool acc = std::any_of(lp.reductions.begin(), lp.reductions.end(),
+                                     [&](const analysis::Reduction& r) { return r.var == name; });
+        if (name.rfind("@p:", 0) == 0 || cv.text.empty() || acc) continue;
         caps.emplace_back(cv.text, cv.shape);
     }
-    std::string def = "/* parallel-reduce partials + captures (loop over " + n.var + ") */\n";
-    def += "typedef struct " + pname + " {\n";
-    for (const auto& r : lp.reductions) {
-        def += "  " + std::string(primCName(r.prim)) + " m_" + r.var + ";\n";
+    auto capType = [&](const Shape* sh) {
+        return sh->isObject() ? structFor(sh) + "*" : cTypeVal(sh);
+    };
+    std::string def = (reduce ? "/* parallel-reduce partials + captures (loop over "
+                              : "/* parallel-for captures (loop over ") +
+                      n.var + ") */\n";
+    if (reduce) {
+        def += "typedef struct " + pname + " {\n";
+        for (const auto& r : lp.reductions) {
+            def += "  " + std::string(primCName(r.prim)) + " m_" + r.var + ";\n";
+        }
+        def += "} " + pname + ";\n";
     }
-    def += "} " + pname + ";\n";
     def += "typedef struct " + sname + " {\n";
     if (caps.empty()) def += "  int32_t wj_empty;\n";
-    for (const auto& [txt, sh] : caps) {
-        def += "  " + (sh->isObject() ? structFor(sh) + "*" : cTypeVal(sh)) + " " + txt + ";\n";
-    }
+    for (const auto& [txt, sh] : caps) def += "  " + capType(sh) + " " + txt + ";\n";
     def += "} " + sname + ";\n";
     structs_ += def;
 
-    protos_ += "static void " + fnName +
-               "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx, void* wj_part);\n";
+    protos_ += "static void " + fnName + params + ";\n";
 
-    // ---- chunk function: unpack captures, seed the accumulators with the
-    // identity, run the body verbatim for [wj_lo, wj_hi), store partials.
+    // ---- chunk function: unpack captures under their original names, seed
+    // the accumulators with the identity, run the body for [wj_lo, wj_hi),
+    // store the partials.
     Emitter bem;
     bem.line(sname + "* wj_c = (" + sname + "*)wj_ctx;");
-    for (const auto& [txt, sh] : caps) {
-        bem.line((sh->isObject() ? structFor(sh) + "*" : cTypeVal(sh)) + " " + txt + " = wj_c->" +
-                 txt + ";");
-    }
-    for (size_t ri = 0; ri < lp.reductions.size(); ++ri) {
+    for (const auto& [txt, sh] : caps) bem.line(capType(sh) + " " + txt + " = wj_c->" + txt + ";");
+    for (size_t ri = 0; ri < accs.size(); ++ri) {
         bem.line(cTypeVal(accs[ri]->shape) + " " + accs[ri]->text + " = " +
-                 identity(lp.reductions[ri]) + ";");
+                 redIdentity(lp.reductions[ri]) + ";");
     }
-    const std::string vct = cTypeVal(vs);
     {
         Env benv = env;
         benv.em = &bem;
-        // Exact-operator reductions (min/max any prim, i64 +/*) additionally
-        // take a simd reduction clause inside the chunk: lane reassociation
-        // cannot change their value, so the chunk partials — and therefore
-        // the ordered combine — stay bitwise-stable. f32/f64 +/* never get a
-        // vector verdict here (exactReductions gate in simdVerdict), keeping
-        // the chunk fold serial and the documented determinism contract.
+        // Under simd a loop that also carries a vector verdict runs its
+        // chunk iterations through `#pragma omp simd` — threads across
+        // chunks, lanes within one. The range guard re-checks inside the
+        // chunk function; the scalar chunk loop is the else-branch. Both
+        // modes recognize reductions from the loop's syntax alone, so a
+        // parallel-for chunk's vector verdict carries no accumulators, and
+        // a reduce chunk's carries no range guard (the prover refuses
+        // reductions that need one). Its exact-operator reductions (min/max
+        // any prim, i64 +/*) add a simd reduction clause: lane
+        // reassociation cannot change their value, so the chunk partials —
+        // and therefore the ordered combine — stay bitwise-stable. f32/f64
+        // +/* never get a vector verdict here (exactReductions gate in
+        // simdVerdict), keeping the chunk fold serial.
         const analysis::LoopVector* lv = simdVerdict(benv, n);
-        if (lv && !lv->overlapPairs.empty()) lv = nullptr;  // reduce loops prove guard-free
-        benv.vars[n.var] = {"v_" + n.var, vs, true};
-        std::vector<std::string> keys;
+        const std::string vct = cTypeVal(shapes_.ofType(n.varType));
+        auto chunkLoop = [&](const analysis::LoopVector* simd) {
+            genCountedLoop(benv, n, "(" + vct + ")wj_lo", "(" + vct + ")wj_hi", simd);
+        };
         if (lv) {
-            keys = hoistSimdPtrs(benv, n);
-            bem.line("#pragma omp simd" + simdRedClause(benv, *lv));
+            emitGuarded(bem, simdGuard(benv, *lv), "wjrt_simd_fallback", false,
+                        [&] { chunkLoop(lv); }, [&] { chunkLoop(nullptr); });
             ++out_.vectorLoops;
+        } else {
+            chunkLoop(nullptr);
         }
-        bem.open("for (" + vct + " v_" + n.var + " = (" + vct + ")wj_lo; v_" + n.var + " < (" +
-                 vct + ")wj_hi; ++v_" + n.var + ") {");
-        genStmts(benv, n.body);
-        bem.close();
-        dropSimdPtrs(keys);
     }
-    for (size_t ri = 0; ri < lp.reductions.size(); ++ri) {
+    for (size_t ri = 0; ri < accs.size(); ++ri) {
         bem.line("((" + pname + "*)wj_part)->m_" + lp.reductions[ri].var + " = " +
                  accs[ri]->text + ";");
     }
-    fns_ += "static void " + fnName +
-            "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx, void* wj_part) {\n" + bem.text() +
-            "}\n\n";
+    fns_ += "static void " + fnName + params + " {\n" + bem.text() + "}\n\n";
 
-    // ---- dispatch site + ordered combine
-    em.open("{");
-    CVal init = genExpr(env, *n.init);
-    CVal bound = genExpr(env, boundE);
-    const std::string cap = format("wj_rcap%d", id);
-    em.line(sname + " " + cap + ";");
-    for (const auto& [txt, sh] : caps) {
-        (void)sh;
-        em.line(cap + "." + txt + " = " + txt + ";");
+    // ---- dispatch site, plus the ordered combine of a reduction
+    auto dispatch = [&] {
+        CVal init = genExpr(env, *n.init);
+        CVal bound = genExpr(env, *lp.bound);
+        const std::string cap = format(reduce ? "wj_rcap%d" : "wj_cap%d", id);
+        em.line(sname + " " + cap + ";");
+        for (const auto& [txt, sh] : caps) em.line(cap + "." + txt + " = " + txt + ";");
+        const std::string args = "(int64_t)(" + init.text + "), (int64_t)(" + bound.text +
+                                 "), " + fnName + ", &" + cap;
+        if (!reduce) {
+            em.line("wjrt_parallel_for(" + args + ");");
+            return;
+        }
+        const std::string parts = format("wj_parts%d", id);
+        const std::string k = format("wj_k%d", id);
+        const std::string c = format("wj_i%d", id);
+        em.line(pname + " " + parts + "[WJRT_REDUCE_MAX_CHUNKS];");
+        em.line("int32_t " + k + " = wjrt_parallel_reduce(" + args + ", " + parts +
+                ", (int64_t)sizeof(" + pname + "));");
+        em.open("for (int32_t " + c + " = 0; " + c + " < " + k + "; ++" + c + ") {");
+        for (size_t ri = 0; ri < accs.size(); ++ri) {
+            const analysis::Reduction& r = lp.reductions[ri];
+            const std::string& acc = accs[ri]->text;
+            const std::string p = parts + "[" + c + "].m_" + r.var;
+            const std::string& l = r.accOnLeft ? acc : p;
+            const std::string& rhs = r.accOnLeft ? p : acc;
+            if (r.op == analysis::RedOp::Add || r.op == analysis::RedOp::Mul) {
+                em.line(acc + " = " + l + (r.op == analysis::RedOp::Add ? " + " : " * ") + rhs +
+                        ";");
+            } else {
+                em.line("if (" + l + " " + cmpText(r.cmp) + " " + rhs + ") " + acc + " = " + p +
+                        ";");
+            }
+        }
+        em.close();
+    };
+    emitGuarded(em, guard, "wjrt_guard_fallback", true, dispatch, [&] { genSerialFor(env, n); });
+    ++(reduce ? out_.reduceLoops : out_.parallelLoops);
+}
+
+// The one runtime-guarded branch: `if (guard) { fast } else { fallback();
+// slow }`, where the fallback call feeds the guard-failure metric. With no
+// guard only `fast` runs, inside its own braces when `braced`.
+void CodeGen::emitGuarded(Emitter& em, const std::string& guard, const char* fallback,
+                          bool braced, const std::function<void()>& fast,
+                          const std::function<void()>& slow) {
+    if (guard.empty()) {
+        if (braced) em.open("{");
+        fast();
+        if (braced) em.close();
+        return;
     }
-    const std::string parts = format("wj_parts%d", id);
-    const std::string k = format("wj_k%d", id);
-    const std::string c = format("wj_i%d", id);
-    em.line(pname + " " + parts + "[WJRT_REDUCE_MAX_CHUNKS];");
-    em.line("int32_t " + k + " = wjrt_parallel_reduce((int64_t)(" + init.text + "), (int64_t)(" +
-            bound.text + "), " + fnName + ", &" + cap + ", " + parts + ", (int64_t)sizeof(" +
-            pname + "));");
-    em.open("for (int32_t " + c + " = 0; " + c + " < " + k + "; ++" + c + ") {");
-    for (size_t ri = 0; ri < lp.reductions.size(); ++ri) {
-        const analysis::Reduction& r = lp.reductions[ri];
-        const std::string accT = accs[ri]->text;
-        const std::string p = parts + "[" + c + "].m_" + r.var;
-        switch (r.op) {
-        case analysis::RedOp::Add:
-        case analysis::RedOp::Mul: {
-            const std::string op = r.op == analysis::RedOp::Add ? " + " : " * ";
-            em.line(accT + " = " + (r.accOnLeft ? accT + op + p : p + op + accT) + ";");
-            break;
-        }
-        case analysis::RedOp::Min:
-        case analysis::RedOp::Max: {
-            const std::string cond = r.accOnLeft ? accT + " " + cmpOp(r.cmp) + " " + p
-                                                 : p + " " + cmpOp(r.cmp) + " " + accT;
-            em.line("if (" + cond + ") " + accT + " = " + p + ";");
-            break;
-        }
-        }
+    em.open("if (" + guard + ") {");
+    fast();
+    em.mid("} else {");
+    em.line(std::string(fallback) + "();");
+    slow();
+    em.close();
+}
+
+// Emits the loop body over [lo, hi) in OpenMP's canonical loop form: a bare
+// `v < hi; ++v` header (the serial loop's parenthesized cond/step text is
+// rejected under the pragma). With a vector verdict the loop runs under
+// `#pragma omp simd` with restrict-qualified hoisted element pointers; the
+// hoists are emitted BEFORE the pragma so no line separates it from its
+// for-statement.
+void CodeGen::genCountedLoop(Env& env, const ForStmt& n, const std::string& lo,
+                             const std::string& hi, const analysis::LoopVector* lv) {
+    Emitter& em = *env.em;
+    const Shape* vs = shapes_.ofType(n.varType);
+    const std::string v = "v_" + n.var;
+    env.vars[n.var] = {v, vs, true};
+    std::vector<std::string> keys;
+    if (lv) {
+        keys = hoistSimdPtrs(env, n);
+        em.line("#pragma omp simd" + simdRedClause(env, *lv));
     }
+    em.open("for (" + cTypeVal(vs) + " " + v + " = " + lo + "; " + v + " < " + hi + "; ++" + v +
+            ") {");
+    genStmts(env, n.body);
     em.close();
-    em.close();
-    ++out_.reduceLoops;
+    dropSimdPtrs(keys);
 }
 
 // --------------------------------------------------------------------- simd
@@ -989,7 +903,7 @@ const analysis::LoopVector* CodeGen::simdVerdict(Env& env, const ForStmt& n) con
     const analysis::LoopVector& lv = it->second;
     if (lv.verdict == analysis::VecVerdict::ScalarOnly) return nullptr;
     if (!lv.exactReductions) return nullptr;
-    for (const auto& [a, b] : lv.overlapPairs) {
+    for (const auto& [a, b] : lv.pairs) {
         auto ia = env.vars.find(a);
         auto ib = env.vars.find(b);
         if (ia == env.vars.end() || ib == env.vars.end() || !isIdentText(ia->second.text) ||
@@ -1011,7 +925,7 @@ const analysis::LoopVector* CodeGen::simdVerdict(Env& env, const ForStmt& n) con
 // unconditional one. simdVerdict() already resolved every name.
 std::string CodeGen::simdGuard(Env& env, const analysis::LoopVector& lv) {
     std::string guard;
-    for (const auto& [a, b] : lv.overlapPairs) {
+    for (const auto& [a, b] : lv.pairs) {
         if (!guard.empty()) guard += " && ";
         guard += "wjrt_ranges_disjoint(" + env.vars.at(a).text + ", " + env.vars.at(b).text + ")";
     }
@@ -1107,53 +1021,24 @@ std::vector<std::string> CodeGen::hoistSimdPtrs(Env& env, const ForStmt& n) {
     return keys;
 }
 
-// Emits a proven-vectorizable loop as `#pragma omp simd` over the serial
-// loop shape, with restrict-qualified hoisted element pointers. The pragma
-// is only honored under -fopenmp-simd (no OpenMP runtime is linked) and the
+// Emits a proven-vectorizable loop as `#pragma omp simd` over the counted
+// loop, with restrict-qualified hoisted element pointers. The pragma is
+// only honored under -fopenmp-simd (no OpenMP runtime is linked) and the
 // loop never reassociates floats: reduction clauses are restricted to exact
 // operators upstream, so the simd body is bitwise-equal to the serial one.
 // CondVectorizable loops check the byte-range guard first and fall back to
 // the untouched scalar loop (wjrt_simd_fallback feeds the metric).
 void CodeGen::genSimdFor(Env& env, const ForStmt& n, const analysis::LoopVector& lv) {
-    Emitter& em = *env.em;
-    const Shape* vs = shapes_.ofType(n.varType);
-    if (vs->isObject()) xerr("object-typed loop variables are not supported");
-
-    // Re-derive the proven shape `for (v = init; v < bound; v = v + 1)`:
-    // OpenMP's canonical loop form demands a bare `v < bound; ++v` header
-    // (the serial loop's parenthesized cond/step text is rejected under the
-    // pragma). Anything unexpected falls back to the serial loop.
-    const auto* condB = n.cond->kind == ExprKind::Binary ? &as<BinaryExpr>(*n.cond) : nullptr;
-    if (!condB || condB->op != BinOp::Lt || condB->l->kind != ExprKind::Local ||
-        as<LocalExpr>(*condB->l).name != n.var) {
-        genSerialFor(env, n);
-        return;
-    }
-
-    const std::string guard = simdGuard(env, lv);
-    em.open(guard.empty() ? "{" : "if (" + guard + ") {");
-    {
-        auto saved = env.vars;
-        CVal init = genExpr(env, *n.init);
-        env.vars[n.var] = {"v_" + n.var, vs, true};
-        CVal bound = genExpr(env, *condB->r);
-        // Hoists and header operands are materialized BEFORE the pragma so
-        // no emitted line separates it from its for-statement.
-        const std::vector<std::string> keys = hoistSimdPtrs(env, n);
-        em.line("#pragma omp simd" + simdRedClause(env, lv));
-        em.open("for (" + cTypeVal(vs) + " v_" + n.var + " = " + init.text + "; v_" + n.var +
-                " < " + bound.text + "; ++v_" + n.var + ") {");
-        genStmts(env, n.body);
-        em.close();
-        dropSimdPtrs(keys);
-        env.vars = saved;
-    }
-    if (!guard.empty()) {
-        em.mid("} else {");
-        em.line("wjrt_simd_fallback();");
-        genSerialFor(env, n);
-    }
-    em.close();
+    emitGuarded(
+        *env.em, simdGuard(env, lv), "wjrt_simd_fallback", true,
+        [&] {
+            auto saved = env.vars;
+            CVal init = genExpr(env, *n.init);
+            CVal bound = genExpr(env, *lv.bound);
+            genCountedLoop(env, n, init.text, bound.text, &lv);
+            env.vars = saved;
+        },
+        [&] { genSerialFor(env, n); });
     ++out_.vectorLoops;
 }
 

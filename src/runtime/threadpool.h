@@ -55,7 +55,11 @@ public:
     /// thread; the caller executes chunk 0 itself and the call returns only
     /// when every chunk finished. An exception thrown by any chunk (e.g. a
     /// wjrt_trap bounds guard) is rethrown here, first-thrower-wins.
-    /// Serial inline when hi - lo < 2, threads() == 1, or nested.
+    /// Serial inline on the caller when hi - lo < 2, threads() == 1, when
+    /// nested in a pool body, or when the pool is busy with another
+    /// caller's dispatch (another rank's): that caller may hold the workers
+    /// for a whole compute region, so this one does not queue behind it.
+    /// Every inline run counts in pool.dispatches.inline.
     void parallelFor(int64_t lo, int64_t hi, Body body, void* ctx);
 
     /// Dispatches that actually fanned out (≥ 2 chunks) — pool-reuse tests.

@@ -2,7 +2,8 @@
 // kernels (Section 4.1 diffusion, Section 4.2 matmul). The generated C IS
 // the product the paper evaluates — a silent change to devirtualization,
 // object inlining, guard emission, or runtime-call lowering shifts every
-// measurement, so these tests pin the exact bytes.
+// measurement, so these tests pin the exact bytes. One more snapshot pins
+// the prover reports behind those translations (ProverReports).
 //
 // The snapshots live in tests/golden/*.golden (checked in). On mismatch the
 // test prints the first diverging line with context. To refresh after an
@@ -21,7 +22,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "analysis/analysis.h"
 #include "interp/interp.h"
 #include "ir/builder.h"
 #include "jit/codegen.h"
@@ -97,35 +100,41 @@ void checkGolden(const std::string& name, const std::string& actual) {
            << "and review the golden diff.";
 }
 
-Translation translateDiffusion(const TranslateOptions& opts = {}) {
+/// One golden jit() entry: `run` on a concrete receiver graph with fixed
+/// arguments, the starting point of both translate() and analyzeEntry().
+struct Entry {
+    const Program& prog;
+    Value receiver;
+    std::vector<Value> args;
+};
+
+Entry diffusionEntry() {
     static Program prog = stencil::buildProgram();
     Interp in(prog);
     const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
-    Value runner = stencil::makeCpuRunner(in, 8, 8, 8, coeffs, 7);
-    return translate(prog, runner, "run", {Value::ofI32(1)}, opts);
+    return {prog, stencil::makeCpuRunner(in, 8, 8, 8, coeffs, 7), {Value::ofI32(1)}};
 }
 
-Translation translateMatmul(const TranslateOptions& opts = {}) {
+Entry matmulEntry() {
     static Program prog = matmul::buildProgram();
     Interp in(prog);
-    Value app = matmul::makeCpuApp(in, matmul::Calc::Optimized);
-    return translate(prog, app, "run", {Value::ofI32(8), Value::ofI32(7)}, opts);
+    return {prog, matmul::makeCpuApp(in, matmul::Calc::Optimized),
+            {Value::ofI32(8), Value::ofI32(7)}};
 }
 
 /// The cell-chain workload over Cell[] buffers (see stencil_lib): the
 /// canonical subject of the proveLayout AoS→SoA split.
-Translation translateCells(const TranslateOptions& opts = {}) {
+Entry cellsEntry() {
     static Program prog = stencil::buildProgram();
     Interp in(prog);
-    Value runner = stencil::makeCellRunner(in, 64, 0.25f, 0.5f, 11);
-    return translate(prog, runner, "run", {Value::ofI32(2)}, opts);
+    return {prog, stencil::makeCellRunner(in, 64, 0.25f, 0.5f, 11), {Value::ofI32(2)}};
 }
 
 /// Array fill + dot product — the CG reduction kernel in miniature. Under
 /// the parallel option the fill outlines through wjrt_parallel_for and the
 /// dot through wjrt_parallel_reduce (chunk fn + identity seeding + ordered
 /// combine), which is exactly what its snapshot pins.
-Translation translateDot(const TranslateOptions& opts = {}) {
+Entry dotEntry() {
     static Program prog = [] {
         ProgramBuilder pb;
         pb.cls("Dot")
@@ -147,8 +156,35 @@ Translation translateDot(const TranslateOptions& opts = {}) {
         return pb.build();
     }();
     Interp in(prog);
-    Value obj = in.instantiate("Dot", {});
-    return translate(prog, obj, "run", {Value::ofI32(100)}, opts);
+    return {prog, in.instantiate("Dot", {}), {Value::ofI32(100)}};
+}
+
+Translation translateEntry(const Entry& e, const TranslateOptions& opts) {
+    return translate(e.prog, e.receiver, "run", e.args, opts);
+}
+
+Translation translateDiffusion(const TranslateOptions& opts = {}) {
+    return translateEntry(diffusionEntry(), opts);
+}
+Translation translateMatmul(const TranslateOptions& opts = {}) {
+    return translateEntry(matmulEntry(), opts);
+}
+Translation translateCells(const TranslateOptions& opts = {}) {
+    return translateEntry(cellsEntry(), opts);
+}
+Translation translateDot(const TranslateOptions& opts = {}) {
+    return translateEntry(dotEntry(), opts);
+}
+
+/// The prover's parallel, simd and layout tables for one entry, one line
+/// each with the prefix `wjc lint` prints.
+std::string proverReports(const Entry& e, const TranslateOptions& opts) {
+    const analysis::Result r = analysis::analyzeEntry(e.prog, e.receiver, "run", e.args, opts);
+    std::string out;
+    for (const auto& line : r.parallelReport) out += "parallel: " + line + "\n";
+    for (const auto& line : r.vectorReport) out += "simd: " + line + "\n";
+    for (const auto& line : r.layoutReport) out += "layout: " + line + "\n";
+    return out;
 }
 
 } // namespace
@@ -203,6 +239,39 @@ TEST(CodegenGolden, DotProductSimd) {
 TEST(CodegenGolden, CellsStencilSoa) {
     checkGolden("cells_stencil_soa.c.golden",
                 translateCells({.simd = true, .soa = true}).cSource);
+}
+
+// The parallel+simd variants pin the two codegens composed, as the
+// benchmark runs them: the simd chunk loop inside wj_pfb, the range guard
+// inside the chunk and the pointer guard outside it (matmul), the reduce
+// chunk without a clause on the inexact f64 sum (dot), and SoA lane
+// pointers hoisted in an outlined chunk (cells).
+TEST(CodegenGolden, MatmulCpuParallelSimd) {
+    checkGolden("matmul_cpu_parallel_simd.c.golden",
+                translateMatmul({.parallel = true, .simd = true}).cSource);
+}
+
+TEST(CodegenGolden, DotProductParallelSimd) {
+    checkGolden("cg_dot_parallel_simd.c.golden",
+                translateDot({.parallel = true, .simd = true}).cSource);
+}
+
+TEST(CodegenGolden, CellsStencilParallelSimdSoa) {
+    checkGolden("cells_stencil_parallel_simd_soa.c.golden",
+                translateCells({.parallel = true, .simd = true, .soa = true}).cSource);
+}
+
+// The prover's report text on the four entries, under the options of the
+// parallel+simd snapshots: pins the verdict join across call contexts and
+// the report order, which the substring checks elsewhere do not.
+TEST(CodegenGolden, ProverReports) {
+    const TranslateOptions ps{.parallel = true, .simd = true};
+    const TranslateOptions pss{.parallel = true, .simd = true, .soa = true};
+    checkGolden("prover_reports.txt.golden",
+                "== diffusion\n" + proverReports(diffusionEntry(), ps) + "== matmul\n" +
+                    proverReports(matmulEntry(), ps) + "== dot\n" +
+                    proverReports(dotEntry(), ps) + "== cells\n" +
+                    proverReports(cellsEntry(), pss));
 }
 
 // A prim-only unit under soa must be byte-identical to the translation

@@ -202,6 +202,19 @@ TEST(SimdCodegen, ExactReductionCarriesClause) {
     Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)}, {.simd = true});
     EXPECT_GE(t.vectorLoops, 1);
     EXPECT_NE(std::string::npos, t.cSource.find("reduction(+:v_c)"));
+
+    // Composed with the parallel outliner, the clause rides the simd loop
+    // inside the reduce chunk function, over the chunk's own accumulator.
+    Translation pt =
+        translate(p, obj, "run", {Value::ofI32(kProbeN)}, {.parallel = true, .simd = true});
+    EXPECT_EQ(1, pt.reduceLoops);
+    const size_t body = pt.cSource.find(
+        "static void wj_rb0(int64_t wj_lo, int64_t wj_hi, void* wj_ctx, void* wj_part) {\n");
+    ASSERT_NE(std::string::npos, body) << pt.cSource;
+    const size_t end = pt.cSource.find("\n}\n", body);
+    const size_t clause = pt.cSource.find("#pragma omp simd reduction(+:v_c)", body);
+    EXPECT_NE(std::string::npos, clause);
+    EXPECT_LT(clause, end) << pt.cSource;
 }
 
 TEST(SimdCodegen, GuardedLoopKeepsScalarFallback) {
